@@ -46,7 +46,7 @@ func benchServeLoad() (Result, error) {
 	src := dataset.FleetSource{Fleet: fleet}
 	days := src.Days()
 	ph := engine.Phase{TrainLo: 0, TrainHi: days - 31, TestLo: days - 30, TestHi: days - 1}
-	cfg := pipeline.Config{
+	cfg := engine.Config{
 		Forest: forest.Config{NumTrees: trees, MaxDepth: depth, Seed: 3},
 		Seed:   3,
 	}

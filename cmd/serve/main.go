@@ -254,7 +254,7 @@ func bootstrap(reg *core.Registry, name string, src dataset.Source, model smart.
 		testHi = days - 1
 	}
 	ph := engine.Phase{TrainLo: 0, TrainHi: train - 1, TestLo: train, TestHi: testHi}
-	cfg := pipeline.Config{
+	cfg := engine.Config{
 		Forest:  forest.Config{NumTrees: o.Trees, MaxDepth: o.Depth, Seed: o.Seed},
 		Workers: o.Workers,
 		Seed:    o.Seed,

@@ -10,11 +10,11 @@
 // row counts. The trained artifact of a phase (feature selection,
 // per-group models, calibrated thresholds, config hash) is capturable
 // as a versioned, JSON-serializable ModelSnapshot that scores new days
-// without retraining.
+// without retraining. Trained models are held and persisted only in
+// their compiled flat form (internal/flat).
 //
-// internal/pipeline re-exports this package's API unchanged; existing
-// callers keep compiling and the clean path stays bit-identical to the
-// pre-engine pipeline.
+// Callers use this package directly; internal/pipeline contributes only
+// the concrete feature-selection strategies.
 package engine
 
 import (
@@ -46,10 +46,10 @@ var (
 // Errors returned by the engine.
 var (
 	// ErrBadPhase indicates an invalid phase layout.
-	ErrBadPhase = errors.New("pipeline: bad phase")
+	ErrBadPhase = errors.New("engine: bad phase")
 	// ErrNoTrainingSignal indicates a training period without both
 	// classes.
-	ErrNoTrainingSignal = errors.New("pipeline: no positive samples in training period")
+	ErrNoTrainingSignal = errors.New("engine: no positive samples in training period")
 )
 
 // Config parameterizes the prediction engine. The zero value uses the
@@ -296,10 +296,10 @@ func (e *Engine) PreparePhase(model smart.ModelID, ph Phase) (*PhaseData, error)
 	before := e.st.Counters()
 	err := timeStage(cfg, &pd.prep, StageIngest, func() (int, error) {
 		if err := e.st.Track(model); err != nil {
-			return 0, fmt.Errorf("pipeline: ingest: %w", err)
+			return 0, fmt.Errorf("engine: ingest: %w", err)
 		}
 		if err := e.st.AppendThrough(ph.TestHi); err != nil {
-			return 0, fmt.Errorf("pipeline: ingest: %w", err)
+			return 0, fmt.Errorf("engine: ingest: %w", err)
 		}
 		pd.src = e.st.Snapshot()
 		return int(e.st.Counters().DaysIngested - before.DaysIngested), nil
@@ -319,14 +319,14 @@ func (e *Engine) PreparePhase(model smart.ModelID, ph Phase) (*PhaseData, error)
 			Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(false),
 		})
 		if err != nil {
-			return 0, fmt.Errorf("pipeline: selection frame: %w", err)
+			return 0, fmt.Errorf("engine: selection frame: %w", err)
 		}
 		if selFrame.Positives() == 0 {
 			return 0, ErrNoTrainingSignal
 		}
 		curve, err := survival.ComputeAsOf(pd.src, model, 0, ph.TrainHi)
 		if err != nil {
-			return 0, fmt.Errorf("pipeline: survival curve: %w", err)
+			return 0, fmt.Errorf("engine: survival curve: %w", err)
 		}
 		pd.SelFrame = selFrame
 		pd.Curve = curve
@@ -406,7 +406,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 				Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
 			})
 			if err != nil && !errors.Is(err, dataset.ErrNoSamples) {
-				return rows, fmt.Errorf("pipeline: training frame: %w", err)
+				return rows, fmt.Errorf("engine: training frame: %w", err)
 			}
 			if err != nil || trainFr.Positives() == 0 {
 				// Degenerate group: train on the whole population with
@@ -418,7 +418,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 					Sanitize: cfg.sanitizeOpts(true),
 				})
 				if err != nil {
-					return rows, fmt.Errorf("pipeline: fallback training frame: %w", err)
+					return rows, fmt.Errorf("engine: fallback training frame: %w", err)
 				}
 				if trainFr.Positives() == 0 {
 					return rows, ErrNoTrainingSignal
@@ -427,7 +427,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 			rows += trainFr.NumRows()
 			g.model, err = fitModel(trainFr, cfg)
 			if err != nil {
-				return rows, fmt.Errorf("pipeline: fit group model: %w", err)
+				return rows, fmt.Errorf("engine: fit group model: %w", err)
 			}
 		}
 		return rows, nil
@@ -443,7 +443,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	err = timeStage(cfg, &stats, StageCalibrate, func() (int, error) {
 		valOutcomes, rows, err := scorePhase(src, model, groups, pd.valLo, ph.TrainHi, cfg)
 		if err != nil {
-			return rows, fmt.Errorf("pipeline: validation scoring: %w", err)
+			return rows, fmt.Errorf("engine: validation scoring: %w", err)
 		}
 		thresholds = calibrateThresholds(valOutcomes, len(groups), cfg.TargetRecall)
 		return rows, nil
@@ -460,7 +460,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 		var err error
 		testOutcomes, rows, err = scorePhase(src, model, groups, ph.TestLo, ph.TestHi, cfg)
 		if err != nil {
-			return rows, fmt.Errorf("pipeline: test scoring: %w", err)
+			return rows, fmt.Errorf("engine: test scoring: %w", err)
 		}
 		return rows, nil
 	})
@@ -509,7 +509,7 @@ func buildGroups(selRes SelectorResult) ([]group, error) {
 		for i, n := range names {
 			ft, err := smart.ParseFeature(n)
 			if err != nil {
-				return group{}, fmt.Errorf("pipeline: selected feature %q: %w", n, err)
+				return group{}, fmt.Errorf("engine: selected feature %q: %w", n, err)
 			}
 			feats[i] = ft
 		}
@@ -554,7 +554,7 @@ func Run(src dataset.Source, model smart.ModelID, sel Selector, phases []Phase, 
 		res, err := e.runPhaseWithFallback(model, sel, ph, prevSel)
 		if err != nil {
 			if cfg.Robust == nil {
-				return nil, metrics.Confusion{}, fmt.Errorf("pipeline: model %v phase test [%d, %d]: %w", model, ph.TestLo, ph.TestHi, err)
+				return nil, metrics.Confusion{}, fmt.Errorf("engine: model %v phase test [%d, %d]: %w", model, ph.TestLo, ph.TestHi, err)
 			}
 			if firstErr == nil {
 				firstErr = err
@@ -572,7 +572,7 @@ func Run(src dataset.Source, model smart.ModelID, sel Selector, phases []Phase, 
 		if firstErr == nil {
 			firstErr = errors.New("no phases")
 		}
-		return nil, metrics.Confusion{}, fmt.Errorf("pipeline: model %v: every phase failed: %w", model, firstErr)
+		return nil, metrics.Confusion{}, fmt.Errorf("engine: model %v: every phase failed: %w", model, firstErr)
 	}
 	return results, total, nil
 }

@@ -14,12 +14,16 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
-	f.Add([]byte(`{"format": 1}`))
+	f.Add([]byte(`{"format": 2}`))
 	f.Add([]byte(`{"format": 99, "groups": []}`))
-	f.Add([]byte(`{"format": 1, "model": 1, "selector": "wefr",` +
-		` "groups": [{"features": ["MWI_N"], "predictor": 1, "model_data": "AAEC"}],` +
+	f.Add([]byte(`{"format": 2, "model": 1, "selector": "wefr",` +
+		` "groups": [{"features": ["MWI_N"], "predictor": 1, "flat_data": "AAEC"}],` +
 		` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`))
-	f.Add([]byte(`{"format": 1, "groups": [{"features": ["not-a-feature"]}], "thresholds": [0.1]}`))
+	f.Add([]byte(`{"format": 2, "groups": [{"features": ["not-a-feature"]}], "thresholds": [0.1]}`))
+	// A format-1 artifact, which also carried a gob pointer model.
+	f.Add([]byte(`{"format": 1, "model": 1, "selector": "wefr",` +
+		` "groups": [{"features": ["MWI_N"], "predictor": 1, "model_data": "AAEC", "flat_data": "AAEC"}],` +
+		` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
@@ -35,7 +39,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 			return
 		}
 		// A decodable snapshot must survive group reconstruction
-		// without panicking; errors (bad features, bogus model gobs)
+		// without panicking; errors (bad features, bogus model payloads)
 		// are fine.
 		_, _ = snap.buildGroups(1)
 	})

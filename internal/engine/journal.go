@@ -18,10 +18,10 @@ import (
 var (
 	// ErrJournalExists indicates a journal directory that already holds
 	// a run journal while Resume was not requested.
-	ErrJournalExists = errors.New("pipeline: journal exists (resume not requested)")
+	ErrJournalExists = errors.New("engine: journal exists (resume not requested)")
 	// ErrJournalMismatch indicates a journal written by a run with a
 	// different configuration, model, selector, or phase layout.
-	ErrJournalMismatch = errors.New("pipeline: journal does not match this run")
+	ErrJournalMismatch = errors.New("engine: journal does not match this run")
 )
 
 // JournalOpts configures a journaled run (RunJournaled).
@@ -92,10 +92,10 @@ func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases 
 		return nil, metrics.Confusion{}, fmt.Errorf("%w: robust-mode runs cannot be journaled", ErrNotSnapshotable)
 	}
 	if jo.Dir == "" {
-		return nil, metrics.Confusion{}, errors.New("pipeline: empty journal directory")
+		return nil, metrics.Confusion{}, errors.New("engine: empty journal directory")
 	}
 	if err := os.MkdirAll(jo.Dir, 0o755); err != nil {
-		return nil, metrics.Confusion{}, fmt.Errorf("pipeline: journal dir: %w", err)
+		return nil, metrics.Confusion{}, fmt.Errorf("engine: journal dir: %w", err)
 	}
 	path := filepath.Join(jo.Dir, journalFile)
 	if !jo.Resume {
@@ -107,7 +107,7 @@ func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases 
 	}
 	j, recs, err := runlog.Open(path)
 	if err != nil {
-		return nil, metrics.Confusion{}, fmt.Errorf("pipeline: open journal: %w", err)
+		return nil, metrics.Confusion{}, fmt.Errorf("engine: open journal: %w", err)
 	}
 	defer j.Close()
 
@@ -118,7 +118,7 @@ func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases 
 	}
 	if len(recs) == 0 {
 		if err := j.Append(recMeta, meta); err != nil {
-			return nil, metrics.Confusion{}, fmt.Errorf("pipeline: journal meta: %w", err)
+			return nil, metrics.Confusion{}, fmt.Errorf("engine: journal meta: %w", err)
 		}
 	}
 	reg := &core.Registry{Dir: filepath.Join(jo.Dir, "artifacts")}
@@ -135,7 +135,7 @@ func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases 
 			if adopted, found := adoptArtifact(reg, phaseArtifact(i), meta, ph); found {
 				rec = journalPhaseDone{Index: i, Phase: ph, Artifact: phaseArtifact(i), Version: adopted}
 				if err := j.Append(recPhaseDone, rec); err != nil {
-					return nil, metrics.Confusion{}, fmt.Errorf("pipeline: journal phase %d: %w", i, err)
+					return nil, metrics.Confusion{}, fmt.Errorf("engine: journal phase %d: %w", i, err)
 				}
 				jo.logf("resume: adopted unjournaled artifact %s v%d for phase %d", rec.Artifact, rec.Version, i)
 				ok = true
@@ -145,13 +145,13 @@ func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases 
 		if ok {
 			res, err = e.reloadPhase(reg, rec, model)
 			if err != nil {
-				return nil, metrics.Confusion{}, fmt.Errorf("pipeline: model %v phase test [%d, %d]: resume: %w", model, ph.TestLo, ph.TestHi, err)
+				return nil, metrics.Confusion{}, fmt.Errorf("engine: model %v phase test [%d, %d]: resume: %w", model, ph.TestLo, ph.TestHi, err)
 			}
 			jo.logf("resume: phase %d reloaded from %s v%d (no retraining)", i, rec.Artifact, rec.Version)
 		} else {
 			res, err = e.runJournaledPhase(j, reg, model, sel, ph, i)
 			if err != nil {
-				return nil, metrics.Confusion{}, fmt.Errorf("pipeline: model %v phase test [%d, %d]: %w", model, ph.TestLo, ph.TestHi, err)
+				return nil, metrics.Confusion{}, fmt.Errorf("engine: model %v phase test [%d, %d]: %w", model, ph.TestLo, ph.TestHi, err)
 			}
 		}
 		results = append(results, res)
@@ -172,7 +172,7 @@ func replayJournal(recs []runlog.Record, meta journalMeta, phases []Phase) (map[
 			}
 			var m journalMeta
 			if err := rec.Decode(&m); err != nil {
-				return nil, fmt.Errorf("pipeline: journal meta: %w", err)
+				return nil, fmt.Errorf("engine: journal meta: %w", err)
 			}
 			if m != meta {
 				return nil, fmt.Errorf("%w: journal is for config %s model %v selector %q, this run is config %s model %v selector %q",
@@ -184,7 +184,7 @@ func replayJournal(recs []runlog.Record, meta journalMeta, phases []Phase) (map[
 			}
 			var pd journalPhaseDone
 			if err := rec.Decode(&pd); err != nil {
-				return nil, fmt.Errorf("pipeline: journal phase record: %w", err)
+				return nil, fmt.Errorf("engine: journal phase record: %w", err)
 			}
 			if pd.Index < 0 || pd.Index >= len(phases) {
 				return nil, fmt.Errorf("%w: journaled phase %d outside this run's %d phases", ErrJournalMismatch, pd.Index, len(phases))

@@ -173,7 +173,7 @@ func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo,
 			}
 		}
 		probs := getProbs(fr.NumRows())
-		if err := g.model.predictInto(cols, probs); err != nil {
+		if err := g.model.PredictProbaBatch(cols, probs); err != nil {
 			putProbs(probs)
 			return nil, rows, err
 		}

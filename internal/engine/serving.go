@@ -14,23 +14,24 @@ import (
 // wear group, assemble that group's model-input columns itself, and
 // push micro-batches straight through the group's compiled model.
 
-// ScoreInto scores days [lo, hi] exactly like Score but draws all of
-// its working state — per-drive accumulators, frame column storage,
-// the outcome slice — from buf, so repeated passes (a serving daemon's
-// fleet endpoint, the controller's daily summaries) allocate nothing
-// proportional to the fleet after the first call. The returned
-// outcomes alias buf and are valid only until its next use; results
-// are bit-identical to Score.
+// ScoreInto scores days [lo, hi] exactly like Score but reuses buf's
+// per-drive score accumulators, frame column storage and outcome slice
+// across calls, so repeated passes (a serving daemon's fleet endpoint,
+// the controller's daily summaries) do not re-allocate them.
+// Featurization still allocates per drive on every call (its series
+// views and window statistics are built fresh). The returned outcomes
+// alias buf and are valid only until its next use; results are
+// bit-identical to Score.
 func (s *Scorer) ScoreInto(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOutcome, error) {
 	if buf == nil {
 		return s.Score(src, lo, hi)
 	}
 	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("pipeline: bad scoring window [%d, %d]", lo, hi)
+		return nil, fmt.Errorf("engine: bad scoring window [%d, %d]", lo, hi)
 	}
 	scores, _, err := scorePhaseInto(src, s.snap.Model, s.groups, lo, hi, s.cfg, buf)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: snapshot scoring: %w", err)
+		return nil, fmt.Errorf("engine: snapshot scoring: %w", err)
 	}
 	return finalizeOutcomesInto(scores, s.snap.Thresholds, hi, buf), nil
 }
@@ -92,17 +93,17 @@ func (s *Scorer) GroupInputWidth(g int) int {
 // one-at-a-time scoring.
 func (s *Scorer) ScoreBatch(g int, cols [][]float64, out []float64) error {
 	if g < 0 || g >= len(s.groups) {
-		return fmt.Errorf("pipeline: group %d out of range [0, %d)", g, len(s.groups))
+		return fmt.Errorf("engine: group %d out of range [0, %d)", g, len(s.groups))
 	}
 	if want := s.GroupInputWidth(g); len(cols) != want {
-		return fmt.Errorf("pipeline: group %d expects %d input columns, got %d", g, want, len(cols))
+		return fmt.Errorf("engine: group %d expects %d input columns, got %d", g, want, len(cols))
 	}
 	for i := range cols {
 		if len(cols[i]) != len(out) {
-			return fmt.Errorf("pipeline: column %d has %d rows, want %d", i, len(cols[i]), len(out))
+			return fmt.Errorf("engine: column %d has %d rows, want %d", i, len(cols[i]), len(out))
 		}
 	}
-	return s.groups[g].model.predictInto(cols, out)
+	return s.groups[g].model.PredictProbaBatch(cols, out)
 }
 
 // Windows returns the feature-generation windows scoring must use,

@@ -16,22 +16,25 @@ import (
 )
 
 // SnapshotFormat is the current ModelSnapshot serialization format.
-// Loaders reject snapshots with a different format number.
-const SnapshotFormat = 1
+// Loaders reject snapshots with a different format number. Format 2
+// carries each group's model only in its compiled flat form; format 1
+// also carried a gob pointer-tree copy and is no longer readable (old
+// artifacts must be retrained or re-saved).
+const SnapshotFormat = 2
 
 // ErrSnapshotFormat indicates a snapshot with an incompatible format.
-var ErrSnapshotFormat = errors.New("pipeline: incompatible snapshot format")
+var ErrSnapshotFormat = errors.New("engine: incompatible snapshot format")
 
 // ErrSnapshotCorrupt indicates snapshot bytes that do not decode as a
 // ModelSnapshot — a truncated or damaged artifact, as opposed to a
 // well-formed snapshot of an incompatible format (ErrSnapshotFormat).
-var ErrSnapshotCorrupt = errors.New("pipeline: corrupt snapshot")
+var ErrSnapshotCorrupt = errors.New("engine: corrupt snapshot")
 
 // ErrNotSnapshotable indicates a phase result that cannot be captured
 // as a ModelSnapshot (robust-mode runs: their miss-mask columns depend
 // on scoring-time sanitization state, so the trained model is not a
 // self-contained artifact).
-var ErrNotSnapshotable = errors.New("pipeline: phase result not snapshotable")
+var ErrNotSnapshotable = errors.New("engine: phase result not snapshotable")
 
 // GroupSnapshot is one trained wear group inside a ModelSnapshot.
 type GroupSnapshot struct {
@@ -42,13 +45,9 @@ type GroupSnapshot struct {
 	MWIAtLeast float64 `json:"mwi_at_least,omitempty"`
 	// Predictor is the trained model family.
 	Predictor Predictor `json:"predictor"`
-	// ModelData is the serialized trained model (gob, base64 in JSON).
-	ModelData []byte `json:"model_data"`
-	// FlatData is the serialized compiled flat model, when the model
-	// compiled; loaders score through it without recompiling. Absent in
-	// older snapshots, which compile on load instead — predictions are
-	// bit-identical either way.
-	FlatData []byte `json:"flat_data,omitempty"`
+	// FlatData is the serialized compiled flat model (gob, base64 in
+	// JSON); loaders score through it without recompiling.
+	FlatData []byte `json:"flat_data"`
 }
 
 // ModelSnapshot is the versioned, self-contained artifact of a trained
@@ -146,17 +145,16 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 		ConfigHash:     r.cfg.Hash(),
 	}
 	for _, g := range r.groups {
-		family, data, flatData, err := g.model.marshal()
+		family, data, err := marshalModel(g.model)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: marshal group model: %w", err)
+			return nil, fmt.Errorf("engine: marshal group model: %w", err)
 		}
 		snap.Groups = append(snap.Groups, GroupSnapshot{
 			Features:   append([]string(nil), g.names...),
 			MWIBelow:   g.mwiBelow,
 			MWIAtLeast: g.mwiAtLeast,
 			Predictor:  family,
-			ModelData:  data,
-			FlatData:   flatData,
+			FlatData:   data,
 		})
 	}
 	return snap, nil
@@ -168,7 +166,7 @@ func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 		return nil, fmt.Errorf("%w: format %d, want %d", ErrSnapshotFormat, s.Format, SnapshotFormat)
 	}
 	if len(s.Groups) == 0 || len(s.Thresholds) != len(s.Groups) {
-		return nil, fmt.Errorf("pipeline: malformed snapshot: %d groups, %d thresholds", len(s.Groups), len(s.Thresholds))
+		return nil, fmt.Errorf("engine: malformed snapshot: %d groups, %d thresholds", len(s.Groups), len(s.Thresholds))
 	}
 	out := make([]group, len(s.Groups))
 	for i, gs := range s.Groups {
@@ -176,13 +174,13 @@ func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 		for j, n := range gs.Features {
 			ft, err := smart.ParseFeature(n)
 			if err != nil {
-				return nil, fmt.Errorf("pipeline: snapshot feature %q: %w", n, err)
+				return nil, fmt.Errorf("engine: snapshot feature %q: %w", n, err)
 			}
 			feats[j] = ft
 		}
-		m, err := unmarshalModel(gs.Predictor, gs.ModelData, gs.FlatData, workers)
+		m, err := unmarshalModel(gs.Predictor, gs.FlatData, workers)
 		if err != nil {
-			return nil, fmt.Errorf("pipeline: snapshot group %d: %w", i, err)
+			return nil, fmt.Errorf("engine: snapshot group %d: %w", i, err)
 		}
 		out[i] = group{
 			feats:      feats,
@@ -247,11 +245,11 @@ func (s *Scorer) Snapshot() *ModelSnapshot { return s.snap }
 // and calibrated thresholds, exactly as ScoreSnapshot would.
 func (s *Scorer) Score(src dataset.Source, lo, hi int) ([]DriveOutcome, error) {
 	if lo < 0 || hi < lo {
-		return nil, fmt.Errorf("pipeline: bad scoring window [%d, %d]", lo, hi)
+		return nil, fmt.Errorf("engine: bad scoring window [%d, %d]", lo, hi)
 	}
 	scores, _, err := scorePhase(src, s.snap.Model, s.groups, lo, hi, s.cfg)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: snapshot scoring: %w", err)
+		return nil, fmt.Errorf("engine: snapshot scoring: %w", err)
 	}
 	return finalizeOutcomes(scores, s.snap.Thresholds, hi), nil
 }
@@ -261,7 +259,7 @@ func (s *Scorer) Score(src dataset.Source, lo, hi int) ([]DriveOutcome, error) {
 func SaveSnapshot(reg *core.Registry, name string, snap *ModelSnapshot) (int, error) {
 	data, err := json.Marshal(snap)
 	if err != nil {
-		return 0, fmt.Errorf("pipeline: encode snapshot: %w", err)
+		return 0, fmt.Errorf("engine: encode snapshot: %w", err)
 	}
 	return reg.Save(name, data)
 }
@@ -291,7 +289,7 @@ func LoadSnapshot(reg *core.Registry, name string, version int) (*ModelSnapshot,
 	}
 	snap, err := DecodeSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: snapshot %q v%d: %w", name, version, err)
+		return nil, fmt.Errorf("engine: snapshot %q v%d: %w", name, version, err)
 	}
 	return snap, nil
 }

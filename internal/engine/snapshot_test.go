@@ -1,13 +1,19 @@
 package engine
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/featgen"
+	"repro/internal/flat"
 	"repro/internal/forest"
 	"repro/internal/frame"
 	"repro/internal/simulate"
@@ -102,6 +108,34 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(parallel, outcomes) {
 		t.Fatal("snapshot scoring differs between worker counts")
 	}
+
+	// ScoreInto reuses its buffer's outcome slice: a second pass over
+	// the same window returns the same results in the first pass's
+	// backing array.
+	t.Run("ScoreIntoReusesOutcomes", func(t *testing.T) {
+		sc, err := NewScorer(loaded, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf ScoreBuf
+		first, err := sc.ScoreInto(testSource(t), ph.TestLo, ph.TestHi, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(first, outcomes) {
+			t.Fatal("ScoreInto outcomes differ from ScoreSnapshot")
+		}
+		second, err := sc.ScoreInto(testSource(t), ph.TestLo, ph.TestHi, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(second) == 0 || &second[0] != &first[0] {
+			t.Fatal("second ScoreInto call did not reuse the first call's outcome array")
+		}
+		if !reflect.DeepEqual(second, outcomes) {
+			t.Fatal("second ScoreInto outcomes differ from ScoreSnapshot")
+		}
+	})
 }
 
 func TestSnapshotRejectsRobust(t *testing.T) {
@@ -130,6 +164,128 @@ func TestLoadSnapshotRejectsBadFormat(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(reg, "bad", 0); !errors.Is(err, ErrSnapshotFormat) {
 		t.Errorf("error = %v, want ErrSnapshotFormat", err)
+	}
+}
+
+// TestLoadSnapshotRejectsFormat1 pins the format-2 cut-over: a
+// format-1 artifact (which carried a gob pointer model beside the flat
+// one) is rejected as an incompatible format, not decoded or misread
+// as corrupt, and the error names both formats.
+func TestLoadSnapshotRejectsFormat1(t *testing.T) {
+	old := []byte(`{"format": 1, "model": 1, "selector": "wefr",` +
+		` "groups": [{"features": ["MWI_N"], "predictor": 1, "model_data": "AAEC", "flat_data": "AAEC"}],` +
+		` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`)
+	_, err := DecodeSnapshot(old)
+	if !errors.Is(err, ErrSnapshotFormat) {
+		t.Fatalf("decode error = %v, want ErrSnapshotFormat", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "format 1") || !strings.Contains(msg, fmt.Sprint(SnapshotFormat)) {
+		t.Errorf("error %q does not name both formats", msg)
+	}
+	reg := &core.Registry{Dir: t.TempDir()}
+	if _, err := reg.Save("old", old); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(reg, "old", 0); !errors.Is(err, ErrSnapshotFormat) {
+		t.Errorf("load error = %v, want ErrSnapshotFormat", err)
+	}
+}
+
+// TestWideCutSnapshotParity carries a forest that splits one input
+// column on more than 254 distinct thresholds through a snapshot's
+// JSON encode/decode round trip, and checks the loaded scorer is
+// bit-identical to the pointer forest at several worker counts.
+func TestWideCutSnapshotParity(t *testing.T) {
+	feat := MWIFeature
+	width := 1 + featgen.NumGenerated(featgen.DefaultWindows)
+	const rows = 3000
+	rng := rand.New(rand.NewSource(9))
+	cols := make([][]float64, width)
+	for c := range cols {
+		cols[c] = make([]float64, rows)
+	}
+	y := make([]int, rows)
+	for i := 0; i < rows; i++ {
+		// Column 0 carries the (noisy) signal over thousands of
+		// distinct values; the rest are low-cardinality noise.
+		cols[0][i] = rng.NormFloat64() * 100
+		for c := 1; c < width; c++ {
+			cols[c][i] = float64(rng.Intn(3))
+		}
+		if rng.Float64() < 0.5+0.4*math.Sin(cols[0][i]/7) {
+			y[i] = 1
+		}
+	}
+	ptr, err := forest.Fit(cols, y, forest.Config{NumTrees: 4, MaxFeatures: width, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts := map[float64]bool{}
+	for _, tr := range ptr.Trees() {
+		e := tr.Export()
+		for i, f := range e.Feature {
+			if f == 0 {
+				cuts[e.Threshold[i]] = true
+			}
+		}
+	}
+	if len(cuts) <= 254 {
+		t.Fatalf("column 0 has %d distinct cuts, want > 254", len(cuts))
+	}
+	fl, err := flat.CompileForest(ptr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := fl.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(&ModelSnapshot{
+		Format: SnapshotFormat, Model: smart.MC1, Selector: "wide",
+		Groups:     []GroupSnapshot{{Features: []string{feat.String()}, Predictor: PredictorForest, FlatData: payload}},
+		Thresholds: []float64{0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := DecodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	in := make([][]float64, width)
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for c := range in {
+		in[c] = make([]float64, rows)
+		for i := range in[c] {
+			switch r := rng.Float64(); {
+			case r < 0.1:
+				in[c][i] = specials[rng.Intn(len(specials))]
+			case r < 0.4:
+				in[c][i] = cols[c][rng.Intn(rows)]
+			default:
+				in[c][i] = rng.NormFloat64() * 120
+			}
+		}
+	}
+	want := make([]float64, rows)
+	if err := ptr.PredictProbaBatch(in, want); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, rows)
+	for _, workers := range []int{1, 2, 3} {
+		sc, err := NewScorer(snap, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.ScoreBatch(0, in, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("workers %d row %d: snapshot %v != pointer %v", workers, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -221,12 +377,17 @@ func TestStageStatsOnResult(t *testing.T) {
 }
 
 // TestFlatScoringParity pins the engine-level guarantee behind the
-// compiled scoring path: a phase scored through the flat models is
-// bit-identical, probability by probability, to the pointer walkers.
+// compiled scoring path: a phase scored through the snapshot's flat
+// models is bit-identical, probability by probability, to a pointer
+// forest the test fits itself on the engine's training frame.
 func TestFlatScoringParity(t *testing.T) {
 	src := testSource(t)
 	ph := StandardPhases(src.Days())[2]
-	res, err := RunPhase(src, smart.MC1, allFeats{}, ph, testCfg())
+	pd, err := PreparePhase(src, smart.MC1, ph, testCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pd.RunSelector(allFeats{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,18 +404,27 @@ func TestFlatScoringParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrGroups := make([]group, len(flatGroups))
-	copy(ptrGroups, flatGroups)
-	for i := range ptrGroups {
-		switch m := ptrGroups[i].model.(type) {
-		case forestModel:
-			ptrGroups[i].model = forestModel{f: m.f}
-		case gbdtModel:
-			ptrGroups[i].model = gbdtModel{m: m.m}
-		default:
-			t.Fatalf("group %d: unexpected model %T", i, m)
-		}
+	if len(flatGroups) != 1 {
+		t.Fatalf("%d groups, want 1", len(flatGroups))
 	}
+	g := flatGroups[0]
+	trainFr, err := dataset.Frame(src, dataset.FrameOpts{
+		Model: smart.MC1, DayLo: ph.TrainLo, DayHi: pd.fitHi,
+		NegEvery: pd.cfg.NegEvery, Features: g.feats, Expand: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols := make([][]float64, trainFr.NumFeatures())
+	for i := range cols {
+		cols[i] = trainFr.Col(i)
+	}
+	ptr, err := forest.Fit(cols, trainFr.Labels(), pd.cfg.Forest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.model = ptr
+	ptrGroups := []group{g}
 	cfg := Config{Windows: append([]int(nil), snap.Windows...)}
 	flatScores, _, err := scorePhase(src, snap.Model, flatGroups, ph.TestLo, ph.TestHi, cfg)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/smart"
@@ -47,7 +48,7 @@ func (h *Harness) Ablation() (AblationResult, error) {
 		var total metrics.Confusion
 		selected := 0
 		for _, ph := range h.phases() {
-			pr, err := pipeline.RunPhase(h.src, model, pipeline.WEFR{Config: v.Config}, ph, cfg)
+			pr, err := engine.RunPhase(h.src, model, pipeline.WEFR{Config: v.Config}, ph, cfg)
 			if err != nil {
 				return AblationResult{}, fmt.Errorf("experiments: ablation %q: %w", v.Name, err)
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/pipeline"
 	"repro/internal/selection"
 	"repro/internal/smart"
@@ -45,7 +46,7 @@ func (h *Harness) Exp2() (Exp2Result, error) {
 				Ranker:  selection.RandomForest{Seed: h.cfg.Seed},
 				Percent: pct,
 			}
-			_, total, err := pipeline.Run(h.src, m, sel, phases, cfg)
+			_, total, err := engine.Run(h.src, m, sel, phases, cfg)
 			if err != nil {
 				return Exp2Result{}, fmt.Errorf("experiments: exp2 %v at %.0f%%: %w", m, pct*100, err)
 			}
@@ -54,7 +55,7 @@ func (h *Harness) Exp2() (Exp2Result, error) {
 		}
 		// NoUpdate isolates the automated feature count, which is what
 		// Fig 2 evaluates; the wear-out split is Exp#3's subject.
-		results, total, err := pipeline.Run(h.src, m, pipeline.WEFR{Config: h.wefrConfig(), NoUpdate: true}, phases, cfg)
+		results, total, err := engine.Run(h.src, m, pipeline.WEFR{Config: h.wefrConfig(), NoUpdate: true}, phases, cfg)
 		if err != nil {
 			return Exp2Result{}, fmt.Errorf("experiments: exp2 %v wefr: %w", m, err)
 		}

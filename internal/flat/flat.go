@@ -2,20 +2,24 @@
 // forest.Forest, gbdt.Model) into flat, cache-friendly node arrays
 // scored over uint8 histogram codes instead of float64 columns.
 //
-// Compilation derives a per-feature cut set from the ensemble itself:
-// the sorted distinct split thresholds actually used by its nodes (at
-// most 254 per feature — ensembles beyond that fail with ErrTooManyCuts
-// and callers fall back to the pointer path). Each input value is then
-// quantized once per batch to the index of the first cut >= value
-// (NaN -> 255, above-all-cuts -> len(cuts)), after which every split
-// decision in every tree is a single integer compare:
+// Compilation derives a cut set from the ensemble itself: the sorted
+// distinct split thresholds its nodes actually use on each feature.
+// Each feature's cuts are split into consecutive runs of at most 254,
+// and every run becomes one uint8 code column reading that feature's
+// input column. Each input value is quantized once per batch and code
+// column to the count of the run's cuts below it (NaN -> 255, above
+// the whole run -> len(run)), after which every split decision in
+// every tree is a single integer compare on the column holding the
+// node's threshold:
 //
 //	code(v) <= splitBin  <=>  v <= threshold
 //
 // holds for all float64 values by construction, so flat predictions are
 // bit-identical to the exact pointer-tree paths, including NaN routing
 // via each node's missing-direction bit and the ordering of float
-// accumulation across trees.
+// accumulation across trees. Compilation therefore never gives up on a
+// feature's cut count: a feature with at most 254 cuts has exactly one
+// code column, at its own index, and wider features add columns.
 //
 // Scoring is row-blocked: a block of rows is quantized into an
 // L2-resident code matrix, then each tree partitions the block's row
@@ -36,22 +40,20 @@ import (
 )
 
 // Compilation limits. maxCuts is 254 because code 255 is reserved for
-// missing (NaN) and a split on the largest cut must still route
-// above-all-cuts values (code == len(cuts)) right.
+// missing (NaN) and a split on a run's largest cut must still route
+// values above the run (code == len(run)) right. maxColumns keeps every
+// code column's block offset (column << blockShift) within an int32.
 const (
 	maxCuts     = 254
 	missingCode = 255
 	maxFeatures = 1 << 15
+	maxColumns  = 1 << 18
 )
 
 // Errors returned by compilation and decoding.
 var (
-	// ErrTooManyCuts indicates an ensemble using more than 254 distinct
-	// split thresholds on one feature; it cannot be expressed in uint8
-	// codes and the caller should keep the pointer path.
-	ErrTooManyCuts = errors.New("flat: more than 254 distinct cuts on a feature")
 	// ErrNotCompilable indicates an ensemble outside the flat layout's
-	// structural limits (feature or node counts).
+	// structural limits (feature, code-column or node counts).
 	ErrNotCompilable = errors.New("flat: not compilable")
 	// ErrBadEncoding indicates serialized bytes that do not decode into
 	// a valid compiled ensemble.
@@ -61,27 +63,47 @@ var (
 	ErrShapeMismatch = errors.New("flat: shape mismatch")
 )
 
-// quantizer maps raw float64 feature values to uint8 cut indices.
+// quantizer maps raw float64 input values to uint8 codes, one code
+// column per run of at most maxCuts cuts. Column f < nFeatures is
+// input feature f's first run; a feature's further runs follow the
+// first nFeatures columns. A value's code on a column counts the run's
+// cuts below it, so it always lies in [0, len(run)] and a node on the
+// run's local bin b routes left iff v <= run[b], regardless of the
+// cuts other runs hold.
 type quantizer struct {
-	// cuts[f] is feature f's ascending distinct thresholds; nil when no
-	// node splits on f (such columns are never read when scoring).
+	// src[c] is the input column code column c quantizes.
+	src []int32
+	// cuts[c] is column c's ascending run of distinct thresholds; nil
+	// when the column is unused (no node splits on the feature), and
+	// then it is never quantized or read.
 	cuts [][]float64
-	// keys[f] is cuts[f] padded with +Inf. Cuts are finite (tree
+	// keys[c] is cuts[c] padded with +Inf. Cuts are finite (tree
 	// thresholds always are), so padding slots are never counted by the
 	// strict "cut < v" compare, and NaN compares false everywhere (its
 	// search result is discarded for missingCode anyway). The fixed
 	// 256-slot array type lets masked indexing drop every bounds check
-	// in the per-value count-of-smaller loop, and startStep[f] (half
+	// in the per-value count-of-smaller loop, and startStep[c] (half
 	// the padded power of two, which must exceed the cut count) sets
 	// its trip count.
 	keys      []*[256]float64
 	startStep []int32
 }
 
+// layout is a freshly built quantizer plus the compile-time map from
+// a feature's threshold to the code column and local bin testing it.
+type layout struct {
+	q *quantizer
+	// cuts[f] is feature f's ascending distinct thresholds.
+	cuts [][]float64
+	// runs[f][k] is the code column holding cuts[f][k*maxCuts:].
+	runs [][]int32
+}
+
 // buildQuantizer collects the distinct thresholds of every internal
 // node across trees, given as parallel (feature, threshold) arrays with
-// feature < 0 marking leaves.
-func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*quantizer, error) {
+// feature < 0 marking leaves, and splits each feature's cuts into code
+// columns.
+func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*layout, error) {
 	perFeat := make([][]float64, nFeatures)
 	for ti, fs := range features {
 		for i, f := range fs {
@@ -93,7 +115,7 @@ func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*q
 			perFeat[f] = append(perFeat[f], thresholds[ti][i]+0.0)
 		}
 	}
-	q := newQuantizer(nFeatures)
+	nCols := nFeatures
 	for f, cs := range perFeat {
 		if len(cs) == 0 {
 			continue
@@ -106,26 +128,41 @@ func buildQuantizer(nFeatures int, features [][]int, thresholds [][]float64) (*q
 				w++
 			}
 		}
-		cs = cs[:w]
-		if w > maxCuts {
-			return nil, fmt.Errorf("%w: feature %d has %d", ErrTooManyCuts, f, w)
+		perFeat[f] = cs[:w]
+		nCols += (w - 1) / maxCuts
+	}
+	if nCols > maxColumns {
+		return nil, fmt.Errorf("%w: %d code columns", ErrNotCompilable, nCols)
+	}
+	l := &layout{q: newQuantizer(nCols), cuts: perFeat, runs: make([][]int32, nFeatures)}
+	next := nFeatures
+	for f, cs := range perFeat {
+		l.q.src[f] = int32(f)
+		for lo := 0; lo < len(cs); lo += maxCuts {
+			c := f
+			if lo > 0 {
+				c = next
+				next++
+			}
+			l.q.setColumn(c, int32(f), cs[lo:min(lo+maxCuts, len(cs))])
+			l.runs[f] = append(l.runs[f], int32(c))
 		}
-		q.setFeature(f, cs)
 	}
-	return q, nil
+	return l, nil
 }
 
-func newQuantizer(nFeatures int) *quantizer {
+func newQuantizer(nCols int) *quantizer {
 	return &quantizer{
-		cuts:      make([][]float64, nFeatures),
-		keys:      make([]*[256]float64, nFeatures),
-		startStep: make([]int32, nFeatures),
+		src:       make([]int32, nCols),
+		cuts:      make([][]float64, nCols),
+		keys:      make([]*[256]float64, nCols),
+		startStep: make([]int32, nCols),
 	}
 }
 
-// setFeature installs feature f's ascending distinct cut set
-// (1 <= len <= maxCuts).
-func (q *quantizer) setFeature(f int, cs []float64) {
+// setColumn installs code column c, reading input column src, with the
+// ascending distinct cut run cs (1 <= len <= maxCuts).
+func (q *quantizer) setColumn(c int, src int32, cs []float64) {
 	// Pad strictly beyond len(cs): the count-of-smaller loop over a
 	// power-of-two region can only produce values < p, and a value
 	// above every cut must yield count == len(cs).
@@ -137,50 +174,34 @@ func (q *quantizer) setFeature(f int, cs []float64) {
 	for i := range keys {
 		keys[i] = math.Inf(1)
 	}
-	for i, c := range cs {
+	for i, v := range cs {
 		// +0.0 collapses a -0.0 cut into +0.0; identical routing since
 		// the two zeros are equal under float compares.
-		keys[i] = c + 0.0
+		keys[i] = v + 0.0
 	}
-	q.cuts[f] = cs
-	q.keys[f] = keys
-	q.startStep[f] = int32(p >> 1)
+	q.src[c] = src
+	q.cuts[c] = cs
+	q.keys[c] = keys
+	q.startStep[c] = int32(p >> 1)
 }
 
-// codeOf returns the scoring code of value v on feature f: the index of
-// the first cut >= v, or missingCode for NaN. Used by compilation and
-// tests; batch scoring uses the inlined loop in quantizeBlock.
-func (q *quantizer) codeOf(f int, v float64) uint8 {
-	if v != v {
-		return missingCode
-	}
-	keys := q.keys[f]
-	idx := int32(0)
-	for step := q.startStep[f]; step > 0; step >>= 1 {
-		if keys[(idx+step-1)&255] < v {
-			idx += step
-		}
-	}
-	return uint8(idx)
-}
-
-// cutIndex returns the code of an exact threshold present in the cut
-// set (every compiled node threshold is, by construction).
-func (q *quantizer) cutIndex(f int, thr float64) (uint8, error) {
-	cs := q.cuts[f]
+// locate returns the code column and local bin of an exact threshold
+// present in feature f's cut set (every compiled node threshold is, by
+// construction).
+func (l *layout) locate(f int, thr float64) (int32, uint8, error) {
+	cs := l.cuts[f]
 	i := sort.SearchFloat64s(cs, thr+0.0)
 	if i >= len(cs) || cs[i] != thr {
-		return 0, fmt.Errorf("%w: threshold %v not in feature %d cut set", ErrNotCompilable, thr, f)
+		return 0, 0, fmt.Errorf("%w: threshold %v not in feature %d cut set", ErrNotCompilable, thr, f)
 	}
-	return uint8(i), nil
+	return l.runs[f][i/maxCuts], uint8(i % maxCuts), nil
 }
 
 // flatTree is one compiled tree in SoA layout, BFS-ordered so children
 // sit after parents and siblings are adjacent (right = left+1).
 type flatTree struct {
-	// featOff is the node's feature index pre-shifted by blockShift
-	// (the offset of its code column in a block's code matrix), or -1
-	// for leaves.
+	// featOff is the node's code column pre-shifted by blockShift (the
+	// column's offset in a block's code matrix), or -1 for leaves.
 	featOff []int32
 	bin     []uint8   // split code: route left iff code <= bin
 	missL   []uint8   // 1 when missing (code 255) routes left
@@ -196,10 +217,11 @@ type ensemble struct {
 }
 
 // compileTree renumbers one tree's nodes into BFS order with adjacent
-// siblings and translates thresholds to codes. Inputs are the parallel
-// arrays of the source encodings; defaultLeft may be nil (missing
-// routes right, matching pre-missing-support encodings).
-func compileTree(q *quantizer, feature []int, threshold []float64, left, right []int, value []float64, defaultLeft []bool) (flatTree, error) {
+// siblings and translates thresholds to (code column, bin) pairs.
+// Inputs are the parallel arrays of the source encodings; defaultLeft
+// may be nil (missing routes right, matching pre-missing-support
+// encodings).
+func compileTree(l *layout, feature []int, threshold []float64, left, right []int, value []float64, defaultLeft []bool) (flatTree, error) {
 	n := len(feature)
 	if n == 0 || n > math.MaxInt32/2 {
 		return flatTree{}, fmt.Errorf("%w: %d nodes", ErrNotCompilable, n)
@@ -229,10 +251,10 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 			ft.value = append(ft.value, value[src])
 			continue
 		}
-		if f >= len(q.cuts) {
-			return flatTree{}, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, len(q.cuts))
+		if f >= len(l.cuts) {
+			return flatTree{}, fmt.Errorf("%w: feature %d of %d", ErrNotCompilable, f, len(l.cuts))
 		}
-		sb, err := q.cutIndex(f, threshold[src])
+		col, sb, err := l.locate(f, threshold[src])
 		if err != nil {
 			return flatTree{}, err
 		}
@@ -240,7 +262,7 @@ func compileTree(q *quantizer, feature []int, threshold []float64, left, right [
 		if defaultLeft != nil && defaultLeft[src] {
 			ml = 1
 		}
-		ft.featOff = append(ft.featOff, int32(f)<<blockShift)
+		ft.featOff = append(ft.featOff, col<<blockShift)
 		ft.bin = append(ft.bin, sb)
 		ft.missL = append(ft.missL, ml)
 		ft.left = append(ft.left, int32(len(order))) // next frontier slot
@@ -279,9 +301,7 @@ type Model struct {
 	Workers int
 }
 
-// CompileTree compiles a fitted classification tree. Fails with
-// ErrTooManyCuts when the tree splits one feature on more than 254
-// distinct thresholds.
+// CompileTree compiles a fitted classification tree.
 func CompileTree(t *tree.Classifier) (*Tree, error) {
 	e := t.Export()
 	return compileTreeEncoded(e)
@@ -291,15 +311,15 @@ func compileTreeEncoded(e tree.Encoded) (*Tree, error) {
 	if e.NFeatures <= 0 || e.NFeatures > maxFeatures {
 		return nil, fmt.Errorf("%w: %d features", ErrNotCompilable, e.NFeatures)
 	}
-	q, err := buildQuantizer(e.NFeatures, [][]int{e.Feature}, [][]float64{e.Threshold})
+	l, err := buildQuantizer(e.NFeatures, [][]int{e.Feature}, [][]float64{e.Threshold})
 	if err != nil {
 		return nil, err
 	}
-	ft, err := compileTree(q, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
+	ft, err := compileTree(l, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
 	if err != nil {
 		return nil, err
 	}
-	return &Tree{e: ensemble{q: q, trees: []flatTree{ft}, nFeatures: e.NFeatures}}, nil
+	return &Tree{e: ensemble{q: l.q, trees: []flatTree{ft}, nFeatures: e.NFeatures}}, nil
 }
 
 // CompileForest compiles a fitted forest; all trees share one cut set.
@@ -320,16 +340,16 @@ func CompileForest(f *forest.Forest) (*Forest, error) {
 	if nf <= 0 || nf > maxFeatures {
 		return nil, fmt.Errorf("%w: %d features", ErrNotCompilable, nf)
 	}
-	q, err := buildQuantizer(nf, features, thresholds)
+	l, err := buildQuantizer(nf, features, thresholds)
 	if err != nil {
 		return nil, err
 	}
-	out := &Forest{e: ensemble{q: q, nFeatures: nf}}
+	out := &Forest{e: ensemble{q: l.q, nFeatures: nf}}
 	for i, e := range encs {
 		if e.NFeatures != nf {
 			return nil, fmt.Errorf("%w: tree %d has %d features, forest %d", ErrNotCompilable, i, e.NFeatures, nf)
 		}
-		ft, err := compileTree(q, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
+		ft, err := compileTree(l, e.Feature, e.Threshold, e.Left, e.Right, e.Prob, e.DefaultLeft)
 		if err != nil {
 			return nil, err
 		}
@@ -358,17 +378,17 @@ func compileModelEncoded(enc gbdt.Encoded) (*Model, error) {
 		features[i] = enc.Trees[i].Feature
 		thresholds[i] = enc.Trees[i].Threshold
 	}
-	q, err := buildQuantizer(enc.NFeatures, features, thresholds)
+	l, err := buildQuantizer(enc.NFeatures, features, thresholds)
 	if err != nil {
 		return nil, err
 	}
 	out := &Model{
-		e:    ensemble{q: q, nFeatures: enc.NFeatures},
+		e:    ensemble{q: l.q, nFeatures: enc.NFeatures},
 		base: enc.Base,
 		eta:  enc.Eta,
 	}
 	for _, et := range enc.Trees {
-		ft, err := compileTree(q, et.Feature, et.Threshold, et.Left, et.Right, et.Weight, et.DefaultLeft)
+		ft, err := compileTree(l, et.Feature, et.Threshold, et.Left, et.Right, et.Weight, et.DefaultLeft)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,8 @@
 package flat
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"math"
 	"math/rand"
@@ -243,36 +245,314 @@ func TestSerializeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTooManyCuts compiles a right-leaning chain splitting one feature
-// at 255 distinct thresholds, which cannot be expressed in uint8 codes.
-func TestTooManyCuts(t *testing.T) {
-	const splits = 255
-	n := 2*splits + 1
-	e := tree.Encoded{
-		Feature:   make([]int, n),
-		Threshold: make([]float64, n),
-		Left:      make([]int, n),
-		Right:     make([]int, n),
-		Prob:      make([]float64, n),
-		NFeatures: 1,
+// wideTree imports a balanced tree splitting feature 0 on n distinct
+// thresholds (a spread including 0.0 and huge magnitudes), alternating
+// the missing direction, with feature 1 split once near the root.
+// Returns the tree and the thresholds, which score inputs should hit
+// exactly.
+func wideTree(t *testing.T, n int) (*tree.Classifier, []float64) {
+	t.Helper()
+	thr := make([]float64, n)
+	for i := range thr {
+		thr[i] = float64(i-n/2) * 0.75
 	}
-	for i := 0; i < n; i++ {
-		e.Feature[i] = -1
-		e.Prob[i] = 0.5
+	thr[0], thr[n-1] = -1e300, 1e300
+	var e tree.Encoded
+	e.NFeatures = 2
+	add := func(f int, v, p float64, dl bool) int {
+		e.Feature = append(e.Feature, f)
+		e.Threshold = append(e.Threshold, v)
+		e.Left = append(e.Left, 0)
+		e.Right = append(e.Right, 0)
+		e.Prob = append(e.Prob, p)
+		e.DefaultLeft = append(e.DefaultLeft, dl)
+		return len(e.Feature) - 1
 	}
-	for i := 0; i < splits; i++ {
-		at := 2 * i
-		e.Feature[at] = 0
-		e.Threshold[at] = float64(i)
-		e.Left[at] = at + 1
-		e.Right[at] = at + 2
+	leaves := 0
+	var build func(lo, hi int) int
+	build = func(lo, hi int) int {
+		if lo > hi {
+			leaves++
+			return add(-1, 0, float64(leaves%97)/96, false)
+		}
+		mid := (lo + hi) / 2
+		at := add(0, thr[mid], 0, mid%2 == 0)
+		l := build(lo, mid-1)
+		r := build(mid+1, hi)
+		e.Left[at], e.Right[at] = l, r
+		return at
 	}
+	root := add(1, 2.5, 0, true)
+	l := build(0, n/2-1)
+	r := build(n/2, n-1)
+	e.Left[root], e.Right[root] = l, r
 	cl, err := tree.Import(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompileTree(cl); !errors.Is(err, ErrTooManyCuts) {
-		t.Fatalf("want ErrTooManyCuts, got %v", err)
+	return cl, thr
+}
+
+// wideData builds training data whose feature 0 takes thousands of
+// distinct values with a noisy label, so exact-split ensembles cut it
+// at far more than 254 distinct thresholds; feature 1 is
+// low-cardinality with missing values.
+func wideData(n int, seed int64) ([][]float64, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		x := rng.NormFloat64() * 100
+		cols[0][i] = x
+		cols[1][i] = float64(rng.Intn(5))
+		if rng.Float64() < 0.1 {
+			cols[1][i] = math.NaN()
+		}
+		if rng.Float64() < 0.5+0.4*math.Sin(x/7) {
+			y[i] = 1
+		}
+	}
+	return cols, y
+}
+
+// requireWide fails unless the source trees split feature 0 on more
+// than 254 distinct thresholds, so the test exercises the wide path.
+func requireWide(t *testing.T, trees ...tree.Encoded) {
+	t.Helper()
+	cuts := map[float64]bool{}
+	for _, e := range trees {
+		for i, f := range e.Feature {
+			if f == 0 {
+				cuts[e.Threshold[i]] = true
+			}
+		}
+	}
+	if len(cuts) <= 254 {
+		t.Fatalf("feature 0 has %d distinct cuts, want > 254", len(cuts))
+	}
+}
+
+// TestWideCutParity pins total compilation: ensembles splitting one
+// feature on more than 254 distinct thresholds compile, and score
+// bit-identically to the pointer walkers on every edge value (NaN,
+// +/-Inf, +/-0, exact thresholds) at any worker count and after a
+// payload round trip.
+func TestWideCutParity(t *testing.T) {
+	type scorer interface {
+		PredictProbaBatch(cols [][]float64, out []float64) error
+	}
+	check := func(t *testing.T, ptr scorer, fl scorer, setWorkers func(int), in [][]float64) {
+		t.Helper()
+		want := make([]float64, testRows)
+		if err := ptr.PredictProbaBatch(in, want); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, testRows)
+		for _, workers := range []int{1, 2, 3} {
+			setWorkers(workers)
+			if err := fl.PredictProbaBatch(in, got); err != nil {
+				t.Fatal(err)
+			}
+			requireBitEqual(t, want, got, "workers")
+		}
+	}
+
+	t.Run("tree", func(t *testing.T) {
+		cl, thr := wideTree(t, 1000)
+		fl, err := CompileTree(cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireWide(t, cl.Export())
+		near := make([]float64, 0, 3*len(thr))
+		for _, v := range thr {
+			near = append(near, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+		}
+		in := scoreInputs([][]float64{near, {0, 1, 2, 2.5, 3, 4}}, testRows, 505)
+		check(t, cl, fl, func(w int) { fl.Workers = w }, in)
+	})
+
+	cols, y := wideData(3000, 61)
+	in := scoreInputs(cols, testRows, 606)
+
+	t.Run("forest", func(t *testing.T) {
+		f, err := forest.Fit(cols, y, forest.Config{NumTrees: 6, Seed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := CompileForest(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var encs []tree.Encoded
+		for _, tr := range f.Trees() {
+			encs = append(encs, tr.Export())
+		}
+		requireWide(t, encs...)
+		check(t, f, fl, func(w int) { fl.Workers = w }, in)
+		data, err := fl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl2, err := UnmarshalForest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, f, fl2, func(w int) { fl2.Workers = w }, in)
+	})
+
+	t.Run("gbdt", func(t *testing.T) {
+		m, err := gbdt.Fit(cols, y, gbdt.Config{NumRounds: 60, MaxDepth: 6, Eta: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl, err := CompileModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := m.Export()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var encs []tree.Encoded
+		for _, et := range enc.Trees {
+			encs = append(encs, tree.Encoded{Feature: et.Feature, Threshold: et.Threshold})
+		}
+		requireWide(t, encs...)
+		check(t, m, fl, func(w int) { fl.Workers = w }, in)
+		data, err := fl.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl2, err := UnmarshalModel(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, m, fl2, func(w int) { fl2.Workers = w }, in)
+	})
+}
+
+// TestDecodeRejects pins the payload validation: every code column
+// must read an input column in range and hold an ascending, NaN-free
+// run of at most 254 cuts.
+func TestDecodeRejects(t *testing.T) {
+	cols, y := wideData(3000, 71)
+	f, err := forest.Fit(cols, y, forest.Config{NumTrees: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := CompileForest(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(fl.e.q.cuts) - 1
+	if last < fl.e.nFeatures || len(fl.e.q.cuts[last]) < 2 {
+		t.Fatalf("want a populated extra code column, got %d columns", last+1)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(e *encodedEnsemble)
+	}{
+		{"source out of range", func(e *encodedEnsemble) { e.Source[last] = int32(e.NFeatures) }},
+		{"negative source", func(e *encodedEnsemble) { e.Source[last] = -1 }},
+		{"missing sources", func(e *encodedEnsemble) { e.Source = e.Source[:last] }},
+		{"unsorted cuts", func(e *encodedEnsemble) {
+			cs := e.Cuts[last]
+			cs[0], cs[1] = cs[1], cs[0]
+		}},
+		{"NaN cut", func(e *encodedEnsemble) { e.Cuts[last][1] = math.NaN() }},
+		{"leading NaN cut", func(e *encodedEnsemble) { e.Cuts[last][0] = math.NaN() }},
+		{"too many cuts", func(e *encodedEnsemble) {
+			cs := make([]float64, maxCuts+1)
+			for i := range cs {
+				cs[i] = float64(i)
+			}
+			e.Cuts[last] = cs
+		}},
+		{"column out of range", func(e *encodedEnsemble) {
+			for i, c := range e.Trees[0].Column {
+				if c >= 0 {
+					e.Trees[0].Column[i] = int32(len(e.Cuts))
+					return
+				}
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc := fl.e.encode()
+			enc.Source = append([]int32(nil), enc.Source...)
+			enc.Cuts = append([][]float64(nil), enc.Cuts...)
+			enc.Cuts[last] = append([]float64(nil), enc.Cuts[last]...)
+			enc.Trees = append([]encodedFlatTree(nil), enc.Trees...)
+			enc.Trees[0].Column = append([]int32(nil), enc.Trees[0].Column...)
+			tc.mutate(&enc)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(encodedFlatForest{E: enc}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := UnmarshalForest(buf.Bytes()); !errors.Is(err, ErrBadEncoding) {
+				t.Fatalf("want ErrBadEncoding, got %v", err)
+			}
+		})
+	}
+	// The unmutated payload decodes.
+	data, err := fl.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UnmarshalForest(data); err != nil {
+		t.Fatalf("valid payload rejected: %v", err)
+	}
+}
+
+// TestSerializePreservesDefaultDirection pins that a boosted model's
+// learned missing-value routing survives the compiled payload round
+// trip, on rows missing one or both features.
+func TestSerializePreservesDefaultDirection(t *testing.T) {
+	// Missingness on feature 0 is itself the positive signal.
+	const n = 200
+	cols := [][]float64{make([]float64, n), make([]float64, n)}
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		if i%2 == 0 {
+			y[i] = 1
+			cols[0][i] = math.NaN()
+		} else {
+			cols[0][i] = float64(i % 17)
+		}
+		cols[1][i] = float64((i * 7) % 13)
+	}
+	m, err := gbdt.Fit(cols, y, gbdt.Config{NumRounds: 15, MaxDepth: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl, err := CompileModel(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := fl.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalModel(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := [][]float64{
+		{math.NaN(), 3, math.NaN(), 8},
+		{5, math.NaN(), math.NaN(), 2},
+	}
+	want := make([]float64, len(probes[0]))
+	if err := m.PredictMarginBatch(probes, want); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]float64, len(probes[0]))
+	if err := got.PredictMarginBatch(probes, out); err != nil {
+		t.Fatal(err)
+	}
+	requireBitEqual(t, want, out, "margin after round trip")
+	if want[0] <= want[1] {
+		t.Errorf("missing feature 0 should raise the margin: %v vs %v", want[0], want[1])
 	}
 }
 

@@ -7,20 +7,23 @@ import (
 )
 
 // encodedEnsemble is the gob wire form shared by the compiled types.
-// Trees are stored with logical feature indices (not block offsets) so
-// the kernel's block geometry can change without breaking payloads.
+// Trees are stored with code-column indices (not block offsets) so the
+// kernel's block geometry can change without breaking payloads.
 type encodedEnsemble struct {
+	// Cuts[c] is code column c's ascending cut run; Source[c] is the
+	// input column it quantizes.
 	Cuts      [][]float64
+	Source    []int32
 	NFeatures int
 	Trees     []encodedFlatTree
 }
 
 type encodedFlatTree struct {
-	Feature []int32 // -1 for leaves
-	Bin     []uint8
-	MissL   []uint8
-	Left    []int32
-	Value   []float64
+	Column []int32 // code column; -1 for leaves
+	Bin    []uint8
+	MissL  []uint8
+	Left   []int32
+	Value  []float64
 }
 
 type encodedFlatForest struct {
@@ -34,21 +37,21 @@ type encodedFlatModel struct {
 }
 
 func (e *ensemble) encode() encodedEnsemble {
-	out := encodedEnsemble{Cuts: e.q.cuts, NFeatures: e.nFeatures}
+	out := encodedEnsemble{Cuts: e.q.cuts, Source: e.q.src, NFeatures: e.nFeatures}
 	for i := range e.trees {
 		t := &e.trees[i]
 		et := encodedFlatTree{
-			Feature: make([]int32, len(t.featOff)),
-			Bin:     t.bin,
-			MissL:   t.missL,
-			Left:    t.left,
-			Value:   t.value,
+			Column: make([]int32, len(t.featOff)),
+			Bin:    t.bin,
+			MissL:  t.missL,
+			Left:   t.left,
+			Value:  t.value,
 		}
 		for j, fo := range t.featOff {
 			if fo < 0 {
-				et.Feature[j] = -1
+				et.Column[j] = -1
 			} else {
-				et.Feature[j] = fo >> blockShift
+				et.Column[j] = fo >> blockShift
 			}
 		}
 		out.Trees = append(out.Trees, et)
@@ -57,34 +60,40 @@ func (e *ensemble) encode() encodedEnsemble {
 }
 
 func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
-	if enc.NFeatures <= 0 || enc.NFeatures > maxFeatures || len(enc.Cuts) != enc.NFeatures {
-		return ensemble{}, fmt.Errorf("%w: %d features, %d cut sets", ErrBadEncoding, enc.NFeatures, len(enc.Cuts))
+	nCols := len(enc.Cuts)
+	if enc.NFeatures <= 0 || enc.NFeatures > maxFeatures || nCols > maxColumns || len(enc.Source) != nCols {
+		return ensemble{}, fmt.Errorf("%w: %d features, %d cut runs, %d sources", ErrBadEncoding, enc.NFeatures, nCols, len(enc.Source))
 	}
 	if len(enc.Trees) == 0 {
 		return ensemble{}, fmt.Errorf("%w: no trees", ErrBadEncoding)
 	}
-	q := newQuantizer(enc.NFeatures)
-	for f, cs := range enc.Cuts {
+	q := newQuantizer(nCols)
+	for c, cs := range enc.Cuts {
+		src := enc.Source[c]
+		if src < 0 || int(src) >= enc.NFeatures {
+			return ensemble{}, fmt.Errorf("%w: code column %d reads input %d of %d", ErrBadEncoding, c, src, enc.NFeatures)
+		}
+		q.src[c] = src
 		if len(cs) == 0 {
 			continue
 		}
 		if len(cs) > maxCuts {
-			return ensemble{}, fmt.Errorf("%w: feature %d has %d cuts", ErrBadEncoding, f, len(cs))
+			return ensemble{}, fmt.Errorf("%w: code column %d has %d cuts", ErrBadEncoding, c, len(cs))
 		}
 		if cs[0] != cs[0] {
-			return ensemble{}, fmt.Errorf("%w: feature %d has NaN cut", ErrBadEncoding, f)
+			return ensemble{}, fmt.Errorf("%w: code column %d has NaN cut", ErrBadEncoding, c)
 		}
 		for i := 1; i < len(cs); i++ {
 			// Also rejects NaN anywhere past index 0.
 			if !(cs[i-1] < cs[i]) {
-				return ensemble{}, fmt.Errorf("%w: feature %d cuts not ascending", ErrBadEncoding, f)
+				return ensemble{}, fmt.Errorf("%w: code column %d cuts not ascending", ErrBadEncoding, c)
 			}
 		}
-		q.setFeature(f, cs)
+		q.setColumn(c, src, cs)
 	}
 	e := ensemble{q: q, nFeatures: enc.NFeatures}
 	for ti, et := range enc.Trees {
-		n := len(et.Feature)
+		n := len(et.Column)
 		if n == 0 || len(et.Bin) != n || len(et.MissL) != n || len(et.Left) != n || len(et.Value) != n {
 			return ensemble{}, fmt.Errorf("%w: tree %d misaligned", ErrBadEncoding, ti)
 		}
@@ -96,13 +105,13 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 			value:   et.Value,
 		}
 		for i := 0; i < n; i++ {
-			f := et.Feature[i]
-			if f < 0 {
+			c := et.Column[i]
+			if c < 0 {
 				ft.featOff[i] = -1
 				continue
 			}
-			if int(f) >= enc.NFeatures || int(et.Bin[i]) >= len(q.cuts[f]) {
-				return ensemble{}, fmt.Errorf("%w: tree %d node %d splits feature %d bin %d", ErrBadEncoding, ti, i, f, et.Bin[i])
+			if int(c) >= nCols || int(et.Bin[i]) >= len(q.cuts[c]) {
+				return ensemble{}, fmt.Errorf("%w: tree %d node %d splits code column %d bin %d", ErrBadEncoding, ti, i, c, et.Bin[i])
 			}
 			l := et.Left[i]
 			// Children always follow their parent (BFS compile order)
@@ -110,7 +119,7 @@ func decodeEnsemble(enc encodedEnsemble) (ensemble, error) {
 			if l <= int32(i) || l+1 >= int32(n) {
 				return ensemble{}, fmt.Errorf("%w: tree %d node %d child %d", ErrBadEncoding, ti, i, l)
 			}
-			ft.featOff[i] = f << blockShift
+			ft.featOff[i] = c << blockShift
 		}
 		e.trees = append(e.trees, ft)
 	}

@@ -2,54 +2,10 @@ package forest
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"repro/internal/tree"
 )
-
-func TestForestSerializationRoundTrip(t *testing.T) {
-	cols, y := blobs(400, 3, 51)
-	f, err := Fit(cols, y, Config{NumTrees: 12, MaxDepth: 7, Seed: 51})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := f.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := UnmarshalForest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumTrees() != f.NumTrees() || g.NumFeatures() != f.NumFeatures() {
-		t.Fatalf("shape changed: (%d, %d) vs (%d, %d)", g.NumTrees(), g.NumFeatures(), f.NumTrees(), f.NumFeatures())
-	}
-	rng := rand.New(rand.NewSource(52))
-	x := make([]float64, 4)
-	for trial := 0; trial < 200; trial++ {
-		for j := range x {
-			x[j] = rng.NormFloat64() * 3
-		}
-		if f.PredictProba(x) != g.PredictProba(x) {
-			t.Fatal("prediction changed after round trip")
-		}
-	}
-	// Training-only capabilities are gone, loudly.
-	if _, err := g.OOBAccuracy(); err == nil {
-		t.Error("deserialized forest should not report OOB accuracy")
-	}
-}
-
-func TestUnmarshalForestErrors(t *testing.T) {
-	if _, err := UnmarshalForest([]byte("garbage")); !errors.Is(err, ErrBadEncoding) {
-		t.Errorf("garbage error = %v", err)
-	}
-	var empty Forest
-	if _, err := empty.MarshalBinary(); !errors.Is(err, ErrNotFitted) {
-		t.Errorf("unfitted marshal error = %v", err)
-	}
-}
 
 func TestTreeImportValidation(t *testing.T) {
 	cols, y := blobs(150, 1, 53)

@@ -73,33 +73,6 @@ func TestFitAllMissingColumnNeverSplit(t *testing.T) {
 	}
 }
 
-func TestSerializePreservesDefaultDirection(t *testing.T) {
-	cols, y := missingInformative(200)
-	m, err := Fit(cols, y, Config{NumRounds: 15, MaxDepth: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := m.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := [][]float64{
-		{math.NaN(), 5},
-		{3, math.NaN()},
-		{math.NaN(), math.NaN()},
-		{8, 2},
-	}
-	for _, x := range probes {
-		if a, b := m.PredictMargin(x), got.PredictMargin(x); a != b {
-			t.Errorf("margin drift after roundtrip on %v: %v vs %v", x, a, b)
-		}
-	}
-}
-
 func TestFitPartialMissingBeatsBaseline(t *testing.T) {
 	// A feature whose finite values separate the classes perfectly but
 	// with 20% of cells missing at random must still dominate training,

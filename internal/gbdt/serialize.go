@@ -1,18 +1,8 @@
 package gbdt
 
-import (
-	"bytes"
-	"encoding/gob"
-	"errors"
-	"fmt"
-)
-
-// Encoded is the serializable form of a fitted boosted model: the gob
-// wire struct of MarshalBinary, also consumed directly by compilers
-// (internal/flat) that need the tree structure without reaching into
-// unexported state. Gob identifies struct fields by name, so the
-// exported rename of the historical wire types decodes old payloads
-// unchanged.
+// Encoded is the exported structure of a fitted boosted model,
+// consumed by compilers (internal/flat) that need the tree structure
+// without reaching into unexported state.
 type Encoded struct {
 	Trees     []EncodedTree
 	Base      float64
@@ -33,10 +23,6 @@ type EncodedTree struct {
 	// missing right.
 	DefaultLeft []bool
 }
-
-// ErrBadEncoding indicates serialized bytes that do not decode into a
-// valid model.
-var ErrBadEncoding = errors.New("gbdt: bad encoding")
 
 // Export returns the serializable form of the model. Importance
 // accumulators and other training-only state are not exported; a
@@ -59,69 +45,4 @@ func (m *Model) Export() (Encoded, error) {
 		enc.Trees = append(enc.Trees, et)
 	}
 	return enc, nil
-}
-
-// MarshalBinary serializes the model for deployment: tree structures,
-// base margin, and shrinkage.
-func (m *Model) MarshalBinary() ([]byte, error) {
-	enc, err := m.Export()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(enc); err != nil {
-		return nil, fmt.Errorf("gbdt: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalModel reconstructs a prediction-ready model from bytes
-// produced by MarshalBinary, validating tree structure.
-func UnmarshalModel(data []byte) (*Model, error) {
-	var enc Encoded
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&enc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
-	}
-	if len(enc.Trees) == 0 {
-		return nil, fmt.Errorf("%w: no trees", ErrBadEncoding)
-	}
-	if enc.NFeatures <= 0 || enc.Eta <= 0 {
-		return nil, fmt.Errorf("%w: nfeatures %d, eta %v", ErrBadEncoding, enc.NFeatures, enc.Eta)
-	}
-	m := &Model{base: enc.Base, nFeatures: enc.NFeatures}
-	m.cfg.Eta = enc.Eta
-	for ti, et := range enc.Trees {
-		n := len(et.Feature)
-		if n == 0 || len(et.Threshold) != n || len(et.Left) != n || len(et.Right) != n || len(et.Weight) != n {
-			return nil, fmt.Errorf("%w: tree %d misaligned", ErrBadEncoding, ti)
-		}
-		if et.DefaultLeft != nil && len(et.DefaultLeft) != n {
-			return nil, fmt.Errorf("%w: tree %d misaligned", ErrBadEncoding, ti)
-		}
-		t := &regTree{nodes: make([]regNode, n)}
-		for i := 0; i < n; i++ {
-			f := et.Feature[i]
-			if f >= enc.NFeatures {
-				return nil, fmt.Errorf("%w: tree %d node %d feature %d", ErrBadEncoding, ti, i, f)
-			}
-			if f >= 0 {
-				l, r := et.Left[i], et.Right[i]
-				if l <= i || r <= i || l >= n || r >= n {
-					return nil, fmt.Errorf("%w: tree %d node %d children %d/%d", ErrBadEncoding, ti, i, l, r)
-				}
-			}
-			t.nodes[i] = regNode{
-				feature:   f,
-				threshold: et.Threshold[i],
-				left:      et.Left[i],
-				right:     et.Right[i],
-				weight:    et.Weight[i],
-			}
-			if et.DefaultLeft != nil {
-				t.nodes[i].defaultLeft = et.DefaultLeft[i]
-			}
-		}
-		m.trees = append(m.trees, t)
-	}
-	return m, nil
 }

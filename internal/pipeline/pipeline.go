@@ -1,190 +1,16 @@
-// Package pipeline implements the offline SSD failure-prediction
-// workflow of Section V-A of the WEFR paper: training/validation/test
-// phases split by time, feature selection on the training period,
-// statistical feature generation for the selected features, a Random
-// Forest prediction model (100 trees, depth 13 in the paper), an alarm
-// threshold calibrated on the validation period to a fixed target
-// recall (the paper compares methods "subject to a fixed recall"), and
-// drive-level first-alarm evaluation over a testing phase.
-//
-// The implementation lives in internal/engine (a staged engine over
-// the append-only fleet store of internal/store); this package
-// re-exports the engine API unchanged and contributes the concrete
-// feature-selection strategies (NoSelection, SingleRanker, WEFR).
+// Package pipeline provides the concrete feature-selection strategies
+// of the WEFR paper's offline failure-prediction workflow (Section
+// V-A): the "no feature selection" baseline (NoSelection), the
+// single-approach baselines of Exp#1/#2 (SingleRanker), and the full
+// ensemble algorithm (WEFR). Each implements engine.Selector; the
+// staged workflow itself — phases, training, calibration, scoring and
+// snapshots — lives in internal/engine and is used directly.
 package pipeline
 
-import (
-	"repro/internal/core"
-	"repro/internal/dataset"
-	"repro/internal/engine"
-	"repro/internal/metrics"
-	"repro/internal/smart"
-)
+import "repro/internal/engine"
 
-// Core workflow types, re-exported from internal/engine.
-type (
-	// Config parameterizes the prediction pipeline.
-	Config = engine.Config
-	// Phase is one train/test layout.
-	Phase = engine.Phase
-	// PhaseData is the selector-independent state of one (model,
-	// phase) evaluation.
-	PhaseData = engine.PhaseData
-	// PhaseResult is the evaluation of one selector on one phase.
-	PhaseResult = engine.PhaseResult
-	// DriveOutcome is one drive's result in a testing phase.
-	DriveOutcome = engine.DriveOutcome
-	// Predictor selects the prediction-model family.
-	Predictor = engine.Predictor
-	// Engine runs phases over one append-only fleet store.
-	Engine = engine.Engine
-)
-
-// Selection types, re-exported from internal/engine.
-type (
-	// Selector abstracts a feature-selection strategy.
-	Selector = engine.Selector
-	// SelectorResult is a selection strategy's output.
-	SelectorResult = engine.SelectorResult
-	// GroupFeatures is a wear-split feature assignment.
-	GroupFeatures = engine.GroupFeatures
-)
-
-// Robustness types, re-exported from internal/engine.
-type (
-	// RobustOpts hardens the pipeline against dirty data.
-	RobustOpts = engine.RobustOpts
-	// RunReport accumulates what a robust run did about bad data.
-	RunReport = engine.RunReport
-	// ReportSnapshot is the serializable form of a RunReport.
-	ReportSnapshot = engine.ReportSnapshot
-)
-
-// Stage-report types, re-exported from internal/engine.
-type (
-	// StageStat is one stage execution's accounting.
-	StageStat = engine.StageStat
-	// StageReport accumulates stage stats across phases.
-	StageReport = engine.StageReport
-	// StageTotal is one stage's aggregate across a run.
-	StageTotal = engine.StageTotal
-)
-
-// Model-snapshot types, re-exported from internal/engine.
-type (
-	// ModelSnapshot is the versioned artifact of a trained phase.
-	ModelSnapshot = engine.ModelSnapshot
-	// GroupSnapshot is one trained wear group inside a ModelSnapshot.
-	GroupSnapshot = engine.GroupSnapshot
-	// ScoreOpts configures snapshot scoring.
-	ScoreOpts = engine.ScoreOpts
-)
-
-// Crash-recovery types, re-exported from internal/engine.
-type (
-	// JournalOpts configures a journaled run (RunJournaled).
-	JournalOpts = engine.JournalOpts
-)
-
-// Prediction model families.
-const (
-	// PredictorForest trains the paper's Random Forest (default).
-	PredictorForest = engine.PredictorForest
-	// PredictorGBDT trains the XGBoost-style boosted trees instead.
-	PredictorGBDT = engine.PredictorGBDT
-)
-
-// SnapshotFormat is the current ModelSnapshot serialization format.
-const SnapshotFormat = engine.SnapshotFormat
-
-// Errors returned by the pipeline.
-var (
-	// ErrBadPhase indicates an invalid phase layout.
-	ErrBadPhase = engine.ErrBadPhase
-	// ErrNoTrainingSignal indicates a training period without both
-	// classes.
-	ErrNoTrainingSignal = engine.ErrNoTrainingSignal
-	// ErrUnknownPredictor indicates an unsupported Predictor value.
-	ErrUnknownPredictor = engine.ErrUnknownPredictor
-	// ErrNotSnapshotable indicates a phase result that cannot be
-	// captured as a ModelSnapshot.
-	ErrNotSnapshotable = engine.ErrNotSnapshotable
-	// ErrSnapshotFormat indicates a snapshot with an incompatible
-	// format.
-	ErrSnapshotFormat = engine.ErrSnapshotFormat
-	// ErrSnapshotCorrupt indicates snapshot bytes that do not decode.
-	ErrSnapshotCorrupt = engine.ErrSnapshotCorrupt
-	// ErrJournalExists indicates an existing run journal without
-	// -resume.
-	ErrJournalExists = engine.ErrJournalExists
-	// ErrJournalMismatch indicates a journal from a different run.
-	ErrJournalMismatch = engine.ErrJournalMismatch
-)
-
-// NewEngine builds an engine over the given source; see engine.New.
-func NewEngine(src dataset.Source, cfg Config) *Engine { return engine.New(src, cfg) }
-
-// StandardPhases returns the paper's evaluation layout: the last three
-// 30-day months as three testing phases.
-func StandardPhases(days int) []Phase { return engine.StandardPhases(days) }
-
-// PreparePhase builds the selector-independent phase state.
-func PreparePhase(src dataset.Source, model smart.ModelID, ph Phase, cfg Config) (*PhaseData, error) {
-	return engine.PreparePhase(src, model, ph, cfg)
-}
-
-// RunPhase executes the full staged workflow for one selector, model,
-// and phase.
-func RunPhase(src dataset.Source, model smart.ModelID, sel Selector, ph Phase, cfg Config) (PhaseResult, error) {
-	return engine.RunPhase(src, model, sel, ph, cfg)
-}
-
-// Run executes the staged workflow over several phases on one shared
-// store and merges the drive-level confusions.
-func Run(src dataset.Source, model smart.ModelID, sel Selector, phases []Phase, cfg Config) ([]PhaseResult, metrics.Confusion, error) {
-	return engine.Run(src, model, sel, phases, cfg)
-}
-
-// RunJournaled is Run with crash recovery: completed phases are
-// checkpointed to a journal directory, and a rerun with Resume reloads
-// them instead of retraining; see engine.RunJournaled.
-func RunJournaled(src dataset.Source, model smart.ModelID, sel Selector, phases []Phase, cfg Config, jo JournalOpts) ([]PhaseResult, metrics.Confusion, error) {
-	return engine.RunJournaled(src, model, sel, phases, cfg, jo)
-}
-
-// DecodeSnapshot decodes serialized snapshot bytes; see
-// engine.DecodeSnapshot.
-func DecodeSnapshot(data []byte) (*ModelSnapshot, error) { return engine.DecodeSnapshot(data) }
-
-// EvaluateOutcomes computes the drive-level confusion matrix of a set
-// of outcomes.
-func EvaluateOutcomes(outcomes []DriveOutcome) metrics.Confusion {
-	return engine.EvaluateOutcomes(outcomes)
-}
-
-// AUC computes the threshold-free ranking quality of a phase.
-func AUC(outcomes []DriveOutcome) (float64, error) { return engine.AUC(outcomes) }
-
-// EvaluateLowMWI computes the confusion restricted to drives whose
-// wear level is below the threshold.
-func EvaluateLowMWI(outcomes []DriveOutcome, threshold float64) metrics.Confusion {
-	return engine.EvaluateLowMWI(outcomes, threshold)
-}
-
-// ScoreSnapshot scores days [lo, hi] of src with a loaded snapshot's
-// trained models and calibrated thresholds — no retraining.
-func ScoreSnapshot(src dataset.Source, snap *ModelSnapshot, lo, hi int, opts ScoreOpts) ([]DriveOutcome, error) {
-	return engine.ScoreSnapshot(src, snap, lo, hi, opts)
-}
-
-// SaveSnapshot serializes the snapshot into the registry under name
-// and returns the assigned version.
-func SaveSnapshot(reg *core.Registry, name string, snap *ModelSnapshot) (int, error) {
-	return engine.SaveSnapshot(reg, name, snap)
-}
-
-// LoadSnapshot loads a snapshot version from the registry; version <= 0
-// loads the latest.
-func LoadSnapshot(reg *core.Registry, name string, version int) (*ModelSnapshot, error) {
-	return engine.LoadSnapshot(reg, name, version)
-}
+// Config is engine.Config. It is the package's only alias and exists
+// for the benchmark module under perfbench/, which names
+// pipeline.Config alongside pipeline.WEFR and is versioned separately
+// from the code it measures.
+type Config = engine.Config

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/frame"
 	"repro/internal/selection"
@@ -13,9 +14,9 @@ import (
 )
 
 // robustCfg is smallCfg plus robust mode with masks and a report.
-func robustCfg(rep *RunReport) Config {
+func robustCfg(rep *engine.RunReport) engine.Config {
 	cfg := smallCfg()
-	cfg.Robust = &RobustOpts{
+	cfg.Robust = &engine.RobustOpts{
 		Sanitize: dataset.SanitizeOpts{MissMask: true},
 		Report:   rep,
 	}
@@ -60,27 +61,27 @@ func overlap(a, b []string) float64 {
 // close to clean while pathological corruption still terminates.
 func TestPipelineFaultMatrix(t *testing.T) {
 	base := smallSource(t)
-	phases := StandardPhases(base.Days())[2:]
+	phases := engine.StandardPhases(base.Days())[2:]
 	model := smart.MC1
 
 	type caseResult struct {
 		selAll []string
 		auc    float64
-		snap   ReportSnapshot
+		snap   engine.ReportSnapshot
 	}
 	run := func(t *testing.T, fc faults.Config) caseResult {
 		t.Helper()
 		inj := faults.New(base, fc)
 		src := dataset.NewCachedSource(inj)
-		rep := &RunReport{}
-		results, _, err := Run(src, model, cheapWEFR(true), phases, robustCfg(rep))
+		rep := &engine.RunReport{}
+		results, _, err := engine.Run(src, model, cheapWEFR(true), phases, robustCfg(rep))
 		if err != nil {
 			t.Fatalf("pipeline did not complete: %v", err)
 		}
 		if len(results) != 1 {
 			t.Fatalf("got %d phase results, want 1", len(results))
 		}
-		auc, err := AUC(results[0].Outcomes)
+		auc, err := engine.AUC(results[0].Outcomes)
 		if err != nil {
 			auc = 0.5 // constant scores: no ranking power
 		}
@@ -176,9 +177,9 @@ func TestPipelineFaultMatrix(t *testing.T) {
 // no mask columns and imputation never fires.
 func TestRobustCleanSelectionMatchesLegacy(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
+	ph := engine.StandardPhases(src.Days())[2]
 
-	legacy, err := PreparePhase(src, smart.MC1, ph, smallCfg())
+	legacy, err := engine.PreparePhase(src, smart.MC1, ph, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,8 +188,8 @@ func TestRobustCleanSelectionMatchesLegacy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := &RunReport{}
-	robust, err := PreparePhase(src, smart.MC1, ph, robustCfg(rep))
+	rep := &engine.RunReport{}
+	robust, err := engine.PreparePhase(src, smart.MC1, ph, robustCfg(rep))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,15 +227,15 @@ func (panicRanker) Rank(fr *frame.Frame) (selection.Result, error) {
 // the run.
 func TestRunReportRankerDrop(t *testing.T) {
 	src := smallSource(t)
-	phases := StandardPhases(src.Days())[2:]
+	phases := engine.StandardPhases(src.Days())[2:]
 	sel := WEFR{Config: core.Config{
 		Rankers: []selection.Ranker{
 			selection.Pearson{}, selection.Spearman{}, selection.JIndex{}, panicRanker{},
 		},
 		Robust: &core.RobustConfig{},
 	}}
-	rep := &RunReport{}
-	results, _, err := Run(src, smart.MC1, sel, phases, robustCfg(rep))
+	rep := &engine.RunReport{}
+	results, _, err := engine.Run(src, smart.MC1, sel, phases, robustCfg(rep))
 	if err != nil {
 		t.Fatalf("run failed despite robust mode: %v", err)
 	}
@@ -265,5 +266,5 @@ func TestRunReportRankerDrop(t *testing.T) {
 		Rankers: []selection.Ranker{selection.Pearson{}, panicRanker{}},
 		Serial:  true,
 	}}
-	_, _, _ = Run(src, smart.MC1, strict, phases, smallCfg())
+	_, _, _ = engine.Run(src, smart.MC1, strict, phases, smallCfg())
 }

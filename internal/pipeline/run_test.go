@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
@@ -24,8 +25,8 @@ import (
 // that forest probabilities do not saturate near 1, which a
 // drive-level max-over-days alarm needs to separate failing drives
 // from healthy ones.
-func smallCfg() Config {
-	return Config{
+func smallCfg() engine.Config {
+	return engine.Config{
 		Forest:   forest.Config{NumTrees: 20, MaxDepth: 8, Seed: 1},
 		NegEvery: 15,
 		Seed:     1,
@@ -55,8 +56,8 @@ func smallSource(t *testing.T) dataset.FleetSource {
 
 func TestRunPhaseNoSelection(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
-	res, err := RunPhase(src, smart.MC1, NoSelection{}, ph, smallCfg())
+	ph := engine.StandardPhases(src.Days())[2]
+	res, err := engine.RunPhase(src, smart.MC1, NoSelection{}, ph, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,15 +100,15 @@ func TestWorkersInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := dataset.FleetSource{Fleet: f}
-	ph := StandardPhases(src.Days())[2]
-	run := func(workers int) PhaseResult {
-		cfg := Config{
+	ph := engine.StandardPhases(src.Days())[2]
+	run := func(workers int) engine.PhaseResult {
+		cfg := engine.Config{
 			Forest:   forest.Config{NumTrees: 10, MaxDepth: 6, Seed: 1},
 			NegEvery: 20,
 			Workers:  workers,
 			Seed:     1,
 		}
-		res, err := RunPhase(src, smart.MC1, NoSelection{}, ph, cfg)
+		res, err := engine.RunPhase(src, smart.MC1, NoSelection{}, ph, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,8 +128,8 @@ func TestWorkersInvariance(t *testing.T) {
 
 func TestRunPhaseWEFR(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
-	res, err := RunPhase(src, smart.MC1, WEFR{}, ph, smallCfg())
+	ph := engine.StandardPhases(src.Days())[2]
+	res, err := engine.RunPhase(src, smart.MC1, WEFR{}, ph, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +153,8 @@ func TestRunPhaseWEFR(t *testing.T) {
 
 func TestRunPhaseSingleRanker(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
-	res, err := RunPhase(src, smart.MB1, SingleRanker{Ranker: selection.Pearson{}, Percent: 0.3}, ph, smallCfg())
+	ph := engine.StandardPhases(src.Days())[2]
+	res, err := engine.RunPhase(src, smart.MB1, SingleRanker{Ranker: selection.Pearson{}, Percent: 0.3}, ph, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,8 +182,8 @@ func TestSelectorNames(t *testing.T) {
 
 func TestRunMergesPhases(t *testing.T) {
 	src := smallSource(t)
-	phases := StandardPhases(src.Days())[1:]
-	results, total, err := Run(src, smart.MC1, NoSelection{}, phases, smallCfg())
+	phases := engine.StandardPhases(src.Days())[1:]
+	results, total, err := engine.Run(src, smart.MC1, NoSelection{}, phases, smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,15 +200,15 @@ func TestRunMergesPhases(t *testing.T) {
 }
 
 func TestEvaluateLowMWI(t *testing.T) {
-	outcomes := []DriveOutcome{
+	outcomes := []engine.DriveOutcome{
 		{Pred: metrics.DrivePrediction{DriveID: 1, FirstAlarmDay: 5, FailDay: 20}, MWI: 20},
 		{Pred: metrics.DrivePrediction{DriveID: 2, FirstAlarmDay: -1, FailDay: -1}, MWI: 80},
 	}
-	low := EvaluateLowMWI(outcomes, 50)
+	low := engine.EvaluateLowMWI(outcomes, 50)
 	if low.TP != 1 || low.TN != 0 {
 		t.Errorf("low confusion = %+v", low)
 	}
-	all := EvaluateOutcomes(outcomes)
+	all := engine.EvaluateOutcomes(outcomes)
 	if all.TP != 1 || all.TN != 1 {
 		t.Errorf("all confusion = %+v", all)
 	}
@@ -234,11 +235,11 @@ func TestWEFRNoUpdateIgnoresCurve(t *testing.T) {
 
 func TestRunPhaseGBDTPredictor(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
+	ph := engine.StandardPhases(src.Days())[2]
 	cfg := smallCfg()
-	cfg.Predictor = PredictorGBDT
+	cfg.Predictor = engine.PredictorGBDT
 	cfg.GBDT = gbdt.Config{NumRounds: 15, MaxDepth: 3, Eta: 0.3, Lambda: 1}
-	res, err := RunPhase(src, smart.MC1, WEFR{NoUpdate: true}, ph, cfg)
+	res, err := engine.RunPhase(src, smart.MC1, WEFR{NoUpdate: true}, ph, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,28 +256,28 @@ func TestRunPhaseGBDTPredictor(t *testing.T) {
 }
 
 func TestPredictorString(t *testing.T) {
-	if PredictorForest.String() != "random-forest" || PredictorGBDT.String() != "gbdt" {
+	if engine.PredictorForest.String() != "random-forest" || engine.PredictorGBDT.String() != "gbdt" {
 		t.Error("predictor names")
 	}
-	if Predictor(9).String() != "Predictor(9)" {
+	if engine.Predictor(9).String() != "Predictor(9)" {
 		t.Error("unknown predictor name")
 	}
 }
 
 func TestUnknownPredictor(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
+	ph := engine.StandardPhases(src.Days())[2]
 	cfg := smallCfg()
-	cfg.Predictor = Predictor(99)
-	if _, err := RunPhase(src, smart.MB1, NoSelection{}, ph, cfg); !errors.Is(err, ErrUnknownPredictor) {
+	cfg.Predictor = engine.Predictor(99)
+	if _, err := engine.RunPhase(src, smart.MB1, NoSelection{}, ph, cfg); !errors.Is(err, engine.ErrUnknownPredictor) {
 		t.Errorf("error = %v, want ErrUnknownPredictor", err)
 	}
 }
 
 func TestRunPropagatesPhaseErrors(t *testing.T) {
 	src := smallSource(t)
-	bad := []Phase{{TrainLo: 0, TrainHi: 10, TestLo: 5, TestHi: 20}}
-	if _, _, err := Run(src, smart.MC1, NoSelection{}, bad, smallCfg()); !errors.Is(err, ErrBadPhase) {
+	bad := []engine.Phase{{TrainLo: 0, TrainHi: 10, TestLo: 5, TestHi: 20}}
+	if _, _, err := engine.Run(src, smart.MC1, NoSelection{}, bad, smallCfg()); !errors.Is(err, engine.ErrBadPhase) {
 		t.Errorf("error = %v, want ErrBadPhase", err)
 	}
 }
@@ -284,9 +285,9 @@ func TestRunPropagatesPhaseErrors(t *testing.T) {
 func TestPreparePhaseNoSignal(t *testing.T) {
 	// A training window before any failures has no positive samples.
 	src := smallSource(t)
-	ph := Phase{TrainLo: 0, TrainHi: 40, TestLo: 41, TestHi: 50}
-	_, err := PreparePhase(src, smart.MB2, ph, smallCfg())
-	if err != nil && !errors.Is(err, ErrNoTrainingSignal) {
+	ph := engine.Phase{TrainLo: 0, TrainHi: 40, TestLo: 41, TestHi: 50}
+	_, err := engine.PreparePhase(src, smart.MB2, ph, smallCfg())
+	if err != nil && !errors.Is(err, engine.ErrNoTrainingSignal) {
 		// Depending on the seed a failure may exist this early; only
 		// the error identity is under test when it fires.
 		t.Errorf("error = %v, want ErrNoTrainingSignal or nil", err)
@@ -294,13 +295,13 @@ func TestPreparePhaseNoSignal(t *testing.T) {
 }
 
 func TestAUCFromOutcomes(t *testing.T) {
-	outcomes := []DriveOutcome{
+	outcomes := []engine.DriveOutcome{
 		{Pred: metrics.DrivePrediction{DriveID: 1, FailDay: 10}, MaxProb: 0.9},
 		{Pred: metrics.DrivePrediction{DriveID: 2, FailDay: 12}, MaxProb: 0.8},
 		{Pred: metrics.DrivePrediction{DriveID: 3, FailDay: -1}, MaxProb: 0.2},
 		{Pred: metrics.DrivePrediction{DriveID: 4, FailDay: -1}, MaxProb: 0.1},
 	}
-	auc, err := AUC(outcomes)
+	auc, err := engine.AUC(outcomes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +309,7 @@ func TestAUCFromOutcomes(t *testing.T) {
 		t.Errorf("AUC = %v, want 1 (perfect ranking)", auc)
 	}
 	// Single class errs.
-	if _, err := AUC(outcomes[:2]); err == nil {
+	if _, err := engine.AUC(outcomes[:2]); err == nil {
 		t.Error("single-class AUC should fail")
 	}
 }
@@ -320,13 +321,13 @@ func TestAUCFromOutcomes(t *testing.T) {
 // 0.01) as the exact path.
 func TestHistExactEquivalence(t *testing.T) {
 	src := smallSource(t)
-	ph := StandardPhases(src.Days())[2]
+	ph := engine.StandardPhases(src.Days())[2]
 
-	run := func(m hist.SplitMethod) PhaseResult {
+	run := func(m hist.SplitMethod) engine.PhaseResult {
 		cfg := smallCfg()
 		cfg.SplitMethod = m
 		sel := WEFR{Config: core.Config{SplitMethod: m}}
-		res, err := RunPhase(src, smart.MC1, sel, ph, cfg)
+		res, err := engine.RunPhase(src, smart.MC1, sel, ph, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -353,11 +354,11 @@ func TestHistExactEquivalence(t *testing.T) {
 			overlap, inter, denom, exact.Selection.All, binned.Selection.All)
 	}
 
-	aucE, err := AUC(exact.Outcomes)
+	aucE, err := engine.AUC(exact.Outcomes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	aucB, err := AUC(binned.Outcomes)
+	aucB, err := engine.AUC(binned.Outcomes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/frame"
 	"repro/internal/selection"
 	"repro/internal/survival"
@@ -13,16 +14,16 @@ import (
 // selection" baseline.
 type NoSelection struct{}
 
-var _ Selector = NoSelection{}
+var _ engine.Selector = NoSelection{}
 
-// Name implements Selector.
+// Name implements engine.Selector.
 func (NoSelection) Name() string { return "No feature selection" }
 
-// Select implements Selector.
-func (NoSelection) Select(fr *frame.Frame, _ survival.Curve) (SelectorResult, error) {
+// Select implements engine.Selector.
+func (NoSelection) Select(fr *frame.Frame, _ survival.Curve) (engine.SelectorResult, error) {
 	names := make([]string, fr.NumFeatures())
 	copy(names, fr.Names())
-	return SelectorResult{All: names}, nil
+	return engine.SelectorResult{All: names}, nil
 }
 
 // SingleRanker applies one preliminary approach and keeps a fixed
@@ -34,27 +35,27 @@ type SingleRanker struct {
 	Percent float64
 }
 
-var _ Selector = SingleRanker{}
+var _ engine.Selector = SingleRanker{}
 
-// Name implements Selector.
+// Name implements engine.Selector.
 func (s SingleRanker) Name() string { return s.Ranker.Name() }
 
-// Select implements Selector.
-func (s SingleRanker) Select(fr *frame.Frame, _ survival.Curve) (SelectorResult, error) {
+// Select implements engine.Selector.
+func (s SingleRanker) Select(fr *frame.Frame, _ survival.Curve) (engine.SelectorResult, error) {
 	pct := s.Percent
 	if pct <= 0 {
 		pct = 0.3
 	}
 	res, err := s.Ranker.Rank(fr)
 	if err != nil {
-		return SelectorResult{}, fmt.Errorf("pipeline: %s: %w", s.Ranker.Name(), err)
+		return engine.SelectorResult{}, fmt.Errorf("pipeline: %s: %w", s.Ranker.Name(), err)
 	}
 	idx := res.TopPercent(pct)
 	names := make([]string, len(idx))
 	for i, f := range idx {
 		names[i] = fr.Names()[f]
 	}
-	return SelectorResult{All: names}, nil
+	return engine.SelectorResult{All: names}, nil
 }
 
 // WEFR applies the full ensemble algorithm of internal/core.
@@ -66,9 +67,9 @@ type WEFR struct {
 	NoUpdate bool
 }
 
-var _ Selector = WEFR{}
+var _ engine.Selector = WEFR{}
 
-// Name implements Selector.
+// Name implements engine.Selector.
 func (w WEFR) Name() string {
 	if w.NoUpdate {
 		return "WEFR (No update)"
@@ -76,16 +77,16 @@ func (w WEFR) Name() string {
 	return "WEFR"
 }
 
-// Select implements Selector.
-func (w WEFR) Select(fr *frame.Frame, curve survival.Curve) (SelectorResult, error) {
+// Select implements engine.Selector.
+func (w WEFR) Select(fr *frame.Frame, curve survival.Curve) (engine.SelectorResult, error) {
 	if w.NoUpdate {
 		curve = survival.Curve{}
 	}
 	res, err := core.Select(fr, curve, w.Config)
 	if err != nil {
-		return SelectorResult{}, fmt.Errorf("pipeline: wefr: %w", err)
+		return engine.SelectorResult{}, fmt.Errorf("pipeline: wefr: %w", err)
 	}
-	out := SelectorResult{All: res.Global.Features, Notes: res.Notes}
+	out := engine.SelectorResult{All: res.Global.Features, Notes: res.Notes}
 	collectDropped := func(scope string, sel core.Selection) {
 		for _, rr := range sel.Rankers {
 			if rr.Failed {
@@ -95,7 +96,7 @@ func (w WEFR) Select(fr *frame.Frame, curve survival.Curve) (SelectorResult, err
 	}
 	collectDropped("", res.Global)
 	if res.Split != nil {
-		out.Split = &GroupFeatures{
+		out.Split = &engine.GroupFeatures{
 			ThresholdMWI: res.Split.ThresholdMWI,
 			Low:          res.Split.Low.Features,
 			High:         res.Split.High.Features,
