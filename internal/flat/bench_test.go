@@ -7,7 +7,7 @@ import (
 	"repro/internal/hist"
 )
 
-// benchSetup mirrors cmd/bench forest-predict-batch: 30 trees, depth
+// benchSetup fits the batch-scoring reference forest: 30 trees, depth
 // 12, trained on 4000 rows. Feature count and bins parameterize the
 // fleet-deployment shape.
 func benchSetup(b *testing.B, features, rows, maxBins int) (*forest.Forest, *Forest, [][]float64) {
@@ -58,7 +58,7 @@ func BenchmarkFlatForest12f(b *testing.B) {
 }
 
 // BenchmarkFlatForestFleet12f uses the deployment-regularized model
-// shape of cmd/bench fleet-score (depth 8, 64-sample leaves).
+// shape of store's BenchmarkFleetScore (depth 8, 64-sample leaves).
 func BenchmarkFlatForestFleet12f(b *testing.B) {
 	_, fl, in := benchSetupDepth(b, 12, 20000, 64, 8, 64)
 	out := make([]float64, 20000)

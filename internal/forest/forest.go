@@ -231,20 +231,6 @@ func (f *Forest) Predict(x []float64, threshold float64) int {
 	return 0
 }
 
-// PredictProbaAll scores every row of column-major data and returns the
-// probabilities. Thin wrapper over PredictProbaBatch that allocates the
-// output.
-func (f *Forest) PredictProbaAll(cols [][]float64) ([]float64, error) {
-	if len(cols) == 0 {
-		return nil, ErrNoData
-	}
-	out := make([]float64, len(cols[0]))
-	if err := f.PredictProbaBatch(cols, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // PredictProbaBatch scores every row of column-major data, writing row
 // i's probability into out[i]. cols must have the training feature
 // count, each column at least len(out) long. The (cols, out) error

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"repro/internal/hist"
 )
 
 // blobs builds a linearly separable two-cluster dataset with one
@@ -115,14 +117,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("importance[%d]: serial %v != parallel %v", f, impS[f], impP[f])
 		}
 	}
-	probS, err := serial.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	probP, err := parallel.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	probS := predictAll(t, serial, cols)
+	probP := predictAll(t, parallel, cols)
 	for i := range probS {
 		if probS[i] != probP[i] {
 			t.Fatalf("prob[%d]: serial %v != parallel %v", i, probS[i], probP[i])
@@ -130,19 +126,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-func TestPredictProbaAll(t *testing.T) {
+// predictAll scores every row of cols through PredictProbaBatch.
+func predictAll(t *testing.T, f *Forest, cols [][]float64) []float64 {
+	t.Helper()
+	out := make([]float64, len(cols[0]))
+	if err := f.PredictProbaBatch(cols, out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestPredictProbaBatch(t *testing.T) {
 	cols, y := blobs(200, 1, 4)
 	f, err := Fit(cols, y, Config{NumTrees: 10, MaxDepth: 5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs, err := f.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(probs) != 200 {
-		t.Fatalf("probs len = %d", len(probs))
-	}
+	probs := predictAll(t, f, cols)
 	// Batch prediction must match per-row prediction.
 	x := make([]float64, 2)
 	for i := 0; i < 20; i++ {
@@ -151,8 +151,11 @@ func TestPredictProbaAll(t *testing.T) {
 			t.Fatalf("batch prob[%d] = %v, row prob = %v", i, probs[i], f.PredictProba(x))
 		}
 	}
-	if _, err := f.PredictProbaAll([][]float64{{1}}); err == nil {
+	if err := f.PredictProbaBatch([][]float64{{1}}, make([]float64, 1)); err == nil {
 		t.Error("wrong column count should fail")
+	}
+	if err := f.PredictProbaBatch([][]float64{cols[0][:10], cols[1][:10]}, make([]float64, 11)); err == nil {
+		t.Error("columns shorter than out should fail")
 	}
 }
 
@@ -244,13 +247,52 @@ func TestSingleClassData(t *testing.T) {
 	}
 }
 
+// BenchmarkFit100Trees fits the paper's 100-tree, depth-13 forest on a
+// frame-shaped 4000×60 sample with each split search on the same data;
+// the exact/hist ratio is the histogram path's training speedup.
 func BenchmarkFit100Trees(b *testing.B) {
-	cols, y := blobs(1000, 9, 10)
-	cfg := Config{NumTrees: 100, MaxDepth: 13, Seed: 10}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(cols, y, cfg); err != nil {
-			b.Fatal(err)
+	cols, y := frameLike(4000, 60, 1)
+	for _, method := range []hist.SplitMethod{hist.SplitExact, hist.SplitHist} {
+		b.Run(method.String(), func(b *testing.B) {
+			cfg := Config{NumTrees: 100, MaxDepth: 13, Seed: 10, SplitMethod: method}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(cols, y, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// frameLike builds a deterministic expanded-training-frame-shaped
+// dataset: one signal feature at a 12% positive rate, plus noise
+// columns of which every third is a low-cardinality counter with heavy
+// value ties, as SMART counters are.
+func frameLike(n, features int, seed int64) (cols [][]float64, y []int) {
+	rng := rand.New(rand.NewSource(seed))
+	y = make([]int, n)
+	signal := make([]float64, n)
+	for i := range signal {
+		if rng.Float64() < 0.12 {
+			y[i] = 1
+			signal[i] = 1.5 + rng.NormFloat64()
+		} else {
+			signal[i] = rng.NormFloat64()
 		}
 	}
+	cols = make([][]float64, features)
+	cols[0] = signal
+	for f := 1; f < features; f++ {
+		c := make([]float64, n)
+		for i := range c {
+			if f%3 == 0 {
+				c[i] = float64(rng.Intn(6))
+			} else {
+				c[i] = rng.NormFloat64() + 0.2*signal[i]
+			}
+		}
+		cols[f] = c
+	}
+	return cols, y
 }

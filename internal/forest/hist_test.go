@@ -41,10 +41,7 @@ func TestHistWorkerCountInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		probs, err := f.PredictProbaAll(cols)
-		if err != nil {
-			t.Fatal(err)
-		}
+		probs := predictAll(t, f, cols)
 		imp, err := f.ImpurityImportance()
 		if err != nil {
 			t.Fatal(err)
@@ -100,14 +97,8 @@ func TestHistExactDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa, err := a.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := b.PredictProbaAll(cols)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := predictAll(t, a, cols)
+	pb := predictAll(t, b, cols)
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatalf("prob[%d]: %v != %v", i, pa[i], pb[i])

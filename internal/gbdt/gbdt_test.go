@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/hist"
 )
 
 func blobs(n, noiseFeatures int, seed int64) (cols [][]float64, y []int) {
@@ -243,13 +245,52 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// BenchmarkFit fits a 25-round, depth-6 boosted model on a frame-shaped
+// 3000×60 sample with each split search on the same data; the
+// exact/hist ratio is the histogram path's training speedup.
 func BenchmarkFit(b *testing.B) {
-	cols, y := blobs(1000, 9, 8)
-	cfg := Config{NumRounds: 50, MaxDepth: 4, Eta: 0.3, Lambda: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Fit(cols, y, cfg); err != nil {
-			b.Fatal(err)
+	cols, y := frameLike(3000, 60, 4)
+	for _, method := range []hist.SplitMethod{hist.SplitExact, hist.SplitHist} {
+		b.Run(method.String(), func(b *testing.B) {
+			cfg := Config{NumRounds: 25, MaxDepth: 6, Eta: 0.3, Lambda: 1, SplitMethod: method}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Fit(cols, y, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// frameLike builds a deterministic expanded-training-frame-shaped
+// dataset: one signal feature at a 12% positive rate, plus noise
+// columns of which every third is a low-cardinality counter with heavy
+// value ties, as SMART counters are.
+func frameLike(n, features int, seed int64) (cols [][]float64, y []int) {
+	rng := rand.New(rand.NewSource(seed))
+	y = make([]int, n)
+	signal := make([]float64, n)
+	for i := range signal {
+		if rng.Float64() < 0.12 {
+			y[i] = 1
+			signal[i] = 1.5 + rng.NormFloat64()
+		} else {
+			signal[i] = rng.NormFloat64()
 		}
 	}
+	cols = make([][]float64, features)
+	cols[0] = signal
+	for f := 1; f < features; f++ {
+		c := make([]float64, n)
+		for i := range c {
+			if f%3 == 0 {
+				c[i] = float64(rng.Intn(6))
+			} else {
+				c[i] = rng.NormFloat64() + 0.2*signal[i]
+			}
+		}
+		cols[f] = c
+	}
+	return cols, y
 }

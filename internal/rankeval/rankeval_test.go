@@ -14,7 +14,7 @@ import (
 	"repro/internal/smart"
 )
 
-func testSource(t *testing.T) dataset.Source {
+func testSource(t testing.TB) dataset.Source {
 	t.Helper()
 	f, err := simulate.New(simulate.Config{
 		TotalDrives: 600, Seed: 5, AFRScale: 4,
@@ -142,6 +142,34 @@ func TestRenderTable(t *testing.T) {
 	for _, want := range []string{"Pearson", "WEFR ensemble", "0.912", "AUC@2", "-"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendered table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// BenchmarkRun measures one full harness pass: bootstrap stability,
+// cross-seed similarity and AUC-vs-k for every registered ranker plus
+// the WEFR ensemble, the per-model cost of `experiments -rank-eval`.
+// The source is cached and warmed so iterations time the harness, not
+// the simulator.
+func BenchmarkRun(b *testing.B) {
+	src := dataset.NewCachedSource(testSource(b))
+	for _, ref := range src.DrivesOf(smart.MC1) {
+		if _, _, err := src.Series(ref); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ph := engine.StandardPhases(src.Days())[2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Run(src, smart.MC1, ph, testCfg(), quickOpts())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range res.Rows {
+			if len(row.Errors) > 0 {
+				b.Fatalf("%s: %v", row.Name, row.Errors)
+			}
 		}
 	}
 }

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/smart"
 )
@@ -45,65 +42,15 @@ var counterAttrs = map[smart.AttrID]bool{
 	smart.CEC: true, smart.PLP: true,
 }
 
-// slabArena hands out column-sized float64 slices carved from large
-// shared blocks. A drive's series holds dozens of columns; carving
-// them from one slab (or, for batch generation, per-worker multi-drive
-// blocks) cuts the live heap object count — and with it GC mark work —
-// by more than an order of magnitude versus one allocation per column.
-// Blocks are retained: reset makes every block available again, so a
-// long-lived arena regenerates a fleet's series with no fresh heap.
-type slabArena struct {
-	blocks [][]float64 // every block ever allocated, reusable after reset
-	next   int         // blocks[next:] are unused since the last reset
-	free   []float64   // remaining space of the block being carved
-}
-
-// arenaBlock is the batch-generation block size: 256 Ki floats (2 MiB),
-// large enough that a worker allocates ~one object per 15 drives.
-const arenaBlock = 1 << 18
-
-func (a *slabArena) alloc(n int) []float64 {
-	if len(a.free) < n {
-		if a.next < len(a.blocks) && len(a.blocks[a.next]) >= n {
-			a.free = a.blocks[a.next]
-		} else {
-			sz := arenaBlock
-			if n > sz {
-				sz = n
-			}
-			a.free = make([]float64, sz)
-			if a.next < len(a.blocks) {
-				a.blocks[a.next] = a.free
-			} else {
-				a.blocks = append(a.blocks, a.free)
-			}
-		}
-		a.next++
-	}
-	s := a.free[:n:n]
-	a.free = a.free[n:]
-	return s
-}
-
-// reset makes every retained block available for carving again. Slices
-// previously handed out alias those blocks and are overwritten by
-// subsequent allocs.
-func (a *slabArena) reset() {
-	a.next = 0
-	a.free = nil
-}
-
 // Series generates the drive's full daily trajectory deterministically
-// from the drive's seed. Calling it twice returns equal data.
+// from the drive's seed. Calling it twice returns equal data, and it is
+// safe to call from several goroutines at once.
+//
+// Every column is carved from one exact-size slab (each attribute in
+// the model's spec yields a raw and a normalized column), so a drive's
+// series is a fixed handful of heap objects rather than one allocation
+// per column, which keeps GC mark work low when a fleet is resident.
 func (f *Fleet) Series(d Drive) *Series {
-	return f.series(d, nil, nil)
-}
-
-// series is Series with an optional shared arena for column storage
-// (nil means a private exact-size slab: every attribute present in the
-// model's spec yields a raw and a normalized column) and an optional
-// prior Series whose struct and column map are recycled.
-func (f *Fleet) series(d Drive, arena *slabArena, recycle *Series) *Series {
 	p := paramsOf[d.Model]
 	spec := smart.MustSpec(d.Model)
 
@@ -114,19 +61,14 @@ func (f *Fleet) series(d Drive, arena *slabArena, recycle *Series) *Series {
 	n := lastDay + 1
 	rng := rand.New(rand.NewSource(d.seed))
 
-	if arena == nil {
-		arena = &slabArena{free: make([]float64, 2*len(spec.AttrList())*n)}
+	slab := make([]float64, 2*len(spec.AttrList())*n)
+	alloc := func() []float64 {
+		c := slab[:n:n]
+		slab = slab[n:]
+		return c
 	}
-	alloc := func() []float64 { return arena.alloc(n) }
 
-	var s *Series
-	if recycle != nil && recycle.cols != nil {
-		s = recycle
-		s.Drive, s.LastDay = d, lastDay
-		clear(s.cols)
-	} else {
-		s = &Series{Drive: d, LastDay: lastDay, cols: make(map[smart.Feature][]float64, 2*len(spec.Attrs))}
-	}
+	s := &Series{Drive: d, LastDay: lastDay, cols: make(map[smart.Feature][]float64, 2*len(spec.Attrs))}
 	put := func(a smart.AttrID, k smart.Kind, v []float64) {
 		s.cols[smart.Feature{Attr: a, Kind: k}] = v
 	}
@@ -358,84 +300,6 @@ func (f *Fleet) series(d Drive, arena *slabArena, recycle *Series) *Series {
 	}
 
 	return s
-}
-
-// SeriesAll generates the series of several drives, fanning the work
-// across workers goroutines (0 means GOMAXPROCS). Every drive's
-// trajectory derives solely from its own stored seed, so out[i] equals
-// f.Series(drives[i]) exactly, for any worker count.
-func (f *Fleet) SeriesAll(drives []Drive, workers int) []*Series {
-	return f.SeriesAllBuf(drives, workers, nil)
-}
-
-// SeriesBuf holds the reusable storage of batch series generation.
-// Passing the same buf to successive SeriesAllBuf calls regenerates
-// into the prior calls' blocks, Series structs, and column maps instead
-// of fresh heap — a whole-fleet regeneration then allocates almost
-// nothing. The caller must be done with every Series from prior calls
-// through the same buf: structs and columns are recycled in place.
-type SeriesBuf struct {
-	arenas []*slabArena
-	out    []*Series
-}
-
-// SeriesAllBuf is SeriesAll with reusable storage. A nil buf behaves
-// exactly like SeriesAll; values are identical either way — storage
-// reuse never changes a trajectory, which derives solely from the
-// drive's seed.
-func (f *Fleet) SeriesAllBuf(drives []Drive, workers int, buf *SeriesBuf) []*Series {
-	if buf == nil {
-		buf = &SeriesBuf{}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(drives) {
-		workers = len(drives)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for len(buf.arenas) < workers {
-		buf.arenas = append(buf.arenas, &slabArena{})
-	}
-	for _, a := range buf.arenas[:workers] {
-		a.reset()
-	}
-	if cap(buf.out) < len(drives) {
-		buf.out = make([]*Series, len(drives))
-	}
-	out := buf.out[:len(drives)]
-
-	// Per-worker arenas pack many drives' columns into few large
-	// blocks, so a whole-fleet batch stays a handful of heap objects
-	// per worker instead of dozens per drive. Values are unchanged:
-	// every trajectory still derives solely from its drive's seed.
-	if workers == 1 {
-		arena := buf.arenas[0]
-		for i, d := range drives {
-			out[i] = f.series(d, arena, out[i])
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		arena := buf.arenas[w]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(drives) {
-					return
-				}
-				out[i] = f.series(drives[i], arena, out[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return out
 }
 
 // counterSeries fills out with a cumulative event counter: a small

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/smart"
@@ -215,56 +217,72 @@ func TestSeriesDeterministic(t *testing.T) {
 	}
 }
 
-func TestSeriesAllMatchesSeries(t *testing.T) {
-	// Parallel generation must be invisible: every drive's trajectory
-	// derives only from its own seed, so SeriesAll equals per-drive
-	// Series calls in order, for any worker count.
+func TestSeriesConcurrentMatchesSerial(t *testing.T) {
+	// Store ingest workers call Series from several goroutines at once.
+	// Every drive's trajectory derives only from its own seed, so
+	// concurrent calls must return columns bit-identical to serial ones.
 	f := testFleet(t)
 	drives := f.DrivesOf(smart.MC1)[:12]
-	serial := f.SeriesAll(drives, 1)
-	parallel := f.SeriesAll(drives, 8)
-	if len(serial) != len(drives) || len(parallel) != len(drives) {
-		t.Fatalf("lengths = %d, %d, want %d", len(serial), len(parallel), len(drives))
-	}
+	serial := make([]*Series, len(drives))
 	for k, d := range drives {
-		want := f.Series(d)
-		for _, s := range []*Series{serial[k], parallel[k]} {
-			if s.LastDay != want.LastDay || s.Drive.ID != d.ID {
-				t.Fatalf("drive %d: LastDay %d/%d ID %d", d.ID, s.LastDay, want.LastDay, s.Drive.ID)
+		serial[k] = f.Series(d)
+	}
+	parallel := make([]*Series, len(drives))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= len(drives) {
+					return
+				}
+				parallel[k] = f.Series(drives[k])
 			}
-			for _, ft := range want.Features() {
-				cw, cs := want.Col(ft), s.Col(ft)
-				for i := range cw {
-					if cw[i] != cs[i] {
-						t.Fatalf("drive %d %v day %d: %v != %v", d.ID, ft, i, cs[i], cw[i])
-					}
+		}()
+	}
+	wg.Wait()
+	for k, d := range drives {
+		want, s := serial[k], parallel[k]
+		if s.LastDay != want.LastDay || s.Drive.ID != d.ID {
+			t.Fatalf("drive %d: LastDay %d/%d ID %d", d.ID, s.LastDay, want.LastDay, s.Drive.ID)
+		}
+		for _, ft := range want.Features() {
+			cw, cs := want.Col(ft), s.Col(ft)
+			if len(cs) != len(cw) {
+				t.Fatalf("drive %d %v: len %d, want %d", d.ID, ft, len(cs), len(cw))
+			}
+			for i := range cw {
+				if math.Float64bits(cw[i]) != math.Float64bits(cs[i]) {
+					t.Fatalf("drive %d %v day %d: %v != %v", d.ID, ft, i, cs[i], cw[i])
 				}
 			}
 		}
 	}
 }
 
-func TestSeriesAllBufReuse(t *testing.T) {
-	// Regenerating into a reused SeriesBuf must reproduce the exact
-	// same values — recycled blocks never leak one batch's data into
-	// the next — at both worker counts, including a shrinking batch.
-	f := testFleet(t)
-	drives := f.DrivesOf(smart.MC1)[:12]
-	var buf SeriesBuf
-	for _, workers := range []int{1, 4, 1} {
-		got := f.SeriesAllBuf(drives, workers, &buf)
-		for k, d := range drives {
-			want := f.Series(d)
-			for _, ft := range want.Features() {
-				cw, cg := want.Col(ft), got[k].Col(ft)
-				for i := range cw {
-					if cw[i] != cg[i] {
-						t.Fatalf("workers=%d drive %d %v day %d: %v != %v", workers, d.ID, ft, i, cg[i], cw[i])
-					}
+// TestSeriesAllocs pins the slab claim: a drive's columns are carved
+// from one exact-size slab, so generating a series costs a fixed
+// handful of allocations (slab, RNG, struct, maps) independent of the
+// span and of the number of columns. Averaging over 50 calls keeps a
+// stray runtime allocation (a GC cycle landing mid-measurement) from
+// tipping the integer count.
+func TestSeriesAllocs(t *testing.T) {
+	for _, days := range []int{120, 730} {
+		f, err := New(Config{TotalDrives: 400, Seed: 1, Days: days})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []smart.ModelID{smart.MA1, smart.MC1} {
+			for _, d := range f.DrivesOf(m)[:4] {
+				allocs := testing.AllocsPerRun(50, func() { f.Series(d) })
+				if allocs > 14 {
+					t.Errorf("days=%d %v drive %d: %v allocs per Series, want <= 14", days, m, d.ID, allocs)
 				}
 			}
 		}
-		drives = drives[:len(drives)-2]
 	}
 }
 
@@ -489,5 +507,28 @@ func TestArchetypeString(t *testing.T) {
 	}
 	if Archetype(42).String() != "Archetype(42)" {
 		t.Error("invalid archetype string")
+	}
+}
+
+// BenchmarkSeries measures series generation across a whole fleet: the
+// cost of materializing every drive's daily SMART log, which fleet
+// sources and store ingest pay per drive.
+func BenchmarkSeries(b *testing.B) {
+	f, err := New(Config{TotalDrives: 600, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var drives []Drive
+	for _, m := range smart.AllModels() {
+		drives = append(drives, f.DrivesOf(m)...)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range drives {
+			if s := f.Series(d); s.LastDay < 0 {
+				b.Fatal("bad series")
+			}
+		}
 	}
 }
