@@ -32,6 +32,17 @@ var (
 	ErrNoSamples = errors.New("dataset: no samples in range")
 )
 
+// MissingFeatureError reports a feature that was asked of a drive's
+// series — to expand into window statistics, or to score — but that the
+// series does not carry.
+type MissingFeatureError struct {
+	Feature smart.Feature
+}
+
+func (e *MissingFeatureError) Error() string {
+	return fmt.Sprintf("dataset: missing feature %v for expansion", e.Feature)
+}
+
 // PredictionWindow is the look-ahead labeling horizon in days: a
 // drive-day is positive when the drive fails within this many days
 // (Section II-B of the paper).
@@ -146,9 +157,9 @@ type FrameOpts struct {
 	// Reuse, when non-nil, recycles the frame's concatenated column
 	// storage across calls: the returned frame's columns alias the
 	// buffer, so the frame is only valid until the next Frame call with
-	// the same buffer. Repeated scoring passes (the serving daemon, the
-	// continuous-operation controller) use this to keep the per-call
-	// allocation volume independent of the fleet size.
+	// the same buffer. Callers that rebuild the same frame shape over
+	// and over use this to keep the per-call allocation volume
+	// independent of the fleet size.
 	Reuse *FrameBuf
 }
 
@@ -473,7 +484,7 @@ func expandSeriesRange(series map[smart.Feature][]float64, feats []smart.Feature
 	for fi, ft := range feats {
 		col, ok := series[ft]
 		if !ok {
-			return nil, slab, fmt.Errorf("dataset: missing feature %v for expansion", ft)
+			return nil, slab, &MissingFeatureError{Feature: ft}
 		}
 		var err error
 		scratch, err = featgen.GenerateRangeInto(out[fi*nGen:(fi+1)*nGen], col, windows, from, to, scratch)

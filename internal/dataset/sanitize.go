@@ -115,6 +115,41 @@ func sanitizeSeries(series map[smart.Feature][]float64, opts FrameOpts) (map[sma
 	return out, miss
 }
 
+// SanitizeColumns is frame sanitization for callers that hold a drive's
+// columns as a slice rather than a map: each non-nil cols[k] is copied
+// into dst[k] (reusing its storage when large enough) and cleaned
+// there, with its pre-imputation missingness in miss[k]; nil columns
+// stay nil. The drive's detected defects are added to the counter
+// once. cols is never modified, and each cleaned column is bit-identical
+// to what Frame extracts for the same series and options.
+func (s *SanitizeOpts) SanitizeColumns(dst [][]float64, miss [][]bool, cols [][]float64) {
+	var sentinels, imputed, residual int64
+	for k, col := range cols {
+		if col == nil {
+			dst[k], miss[k] = nil, nil
+			continue
+		}
+		clean := append(dst[k][:0], col...)
+		m := miss[k]
+		if cap(m) < len(col) {
+			m = make([]bool, len(col))
+		} else {
+			m = m[:len(col)]
+			clear(m)
+		}
+		sn, im, re := sanitizeColumn(clean, m, s)
+		sentinels += sn
+		imputed += im
+		residual += re
+		dst[k], miss[k] = clean, m
+	}
+	if s.Counter != nil {
+		s.Counter.sentinelCells.Add(sentinels)
+		s.Counter.imputedCells.Add(imputed)
+		s.Counter.residualCells.Add(residual)
+	}
+}
+
 // sanitizeColumn cleans one series in place: sentinel scrub, then
 // bounded LOCF imputation with leading backfill. miss records
 // pre-imputation missingness (non-finite or sentinel).

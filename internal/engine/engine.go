@@ -227,6 +227,17 @@ type group struct {
 	model      probModel
 }
 
+// admits reports whether a drive-day with the given wear index belongs
+// to the group, by the exact comparisons of dataset.Frame's wear
+// filter: a NaN wear index fails every >= test, so it lands in the
+// low-wear group only.
+func (g *group) admits(mwi float64) bool {
+	if g.mwiBelow > 0 && mwi >= g.mwiBelow {
+		return false
+	}
+	return !(g.mwiAtLeast > 0) || mwi >= g.mwiAtLeast
+}
+
 // Engine runs phases over one append-only fleet store. Create with
 // New; the zero value is unusable. Successive phases on the same
 // engine reuse every already-ingested day (see store.Counters).
@@ -454,7 +465,7 @@ func (pd *PhaseData) runSelection(name string, selRes SelectorResult, stats []St
 	faults.CrashPoint(crashAfterCalibrate)
 
 	// Score the test phase.
-	var testOutcomes map[int]*driveScore
+	var testOutcomes []*driveScore
 	err = timeStage(cfg, &stats, StageScore, func() (int, error) {
 		var rows int
 		var err error

@@ -54,11 +54,11 @@ func TestCalibrateThresholds(t *testing.T) {
 		}
 		return &driveScore{ref: ref, days: []int{0}, probs: []float64{maxProb}, group: []int{group}}
 	}
-	scores := map[int]*driveScore{
-		1: mk(true, 10, 0.9, 0),
-		2: mk(true, 10, 0.6, 0),
-		3: mk(true, 10, 0.3, 0),
-		4: mk(false, 0, 0.2, 0),
+	scores := []*driveScore{
+		mk(true, 10, 0.9, 0),
+		mk(true, 10, 0.6, 0),
+		mk(true, 10, 0.3, 0),
+		mk(false, 0, 0.2, 0),
 	}
 	// Target recall 0.34 over 3 failing drives: 1 of 3 is recall 0.33
 	// (short of target), so 2 must be covered; the threshold centers
@@ -72,7 +72,7 @@ func TestCalibrateThresholds(t *testing.T) {
 		t.Errorf("threshold = %v, want 0.3", got)
 	}
 	// No failing drives: default.
-	none := map[int]*driveScore{4: mk(false, 0, 0.2, 0)}
+	none := []*driveScore{mk(false, 0, 0.2, 0)}
 	if got := calibrateThresholds(none, 1, 0.3); got[0] != 0.5 {
 		t.Errorf("threshold = %v, want 0.5", got)
 	}
@@ -87,18 +87,18 @@ func TestCalibrateThresholdsPerGroup(t *testing.T) {
 	}
 	// Group 0: three failing drives with high probabilities. Group 1:
 	// three failing drives with low probabilities (a weaker model).
-	scores := map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.8, 0), 3: mk(3, 5, 0.7, 0),
-		4: mk(4, 5, 0.3, 1), 5: mk(5, 5, 0.25, 1), 6: mk(6, 5, 0.2, 1),
+	scores := []*driveScore{
+		mk(1, 5, 0.9, 0), mk(2, 5, 0.8, 0), mk(3, 5, 0.7, 0),
+		mk(4, 5, 0.3, 1), mk(5, 5, 0.25, 1), mk(6, 5, 0.2, 1),
 	}
 	got := calibrateThresholds(scores, 2, 0.5)
 	if got[0] <= got[1] {
 		t.Errorf("group thresholds = %v; group 0 should calibrate higher", got)
 	}
 	// A group with too few failing drives inherits the pooled value.
-	scores = map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.8, 0), 3: mk(3, 5, 0.7, 0),
-		4: mk(4, 5, 0.3, 1),
+	scores = []*driveScore{
+		mk(1, 5, 0.9, 0), mk(2, 5, 0.8, 0), mk(3, 5, 0.7, 0),
+		mk(4, 5, 0.3, 1),
 	}
 	got = calibrateThresholds(scores, 2, 0.5)
 	if got[1] != got[0] && got[1] == 0.3 {
@@ -119,15 +119,15 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 	}
 
 	// Empty validation set: every group gets the 0.5 default.
-	got := calibrateThresholds(map[int]*driveScore{}, 2, 0.3)
+	got := calibrateThresholds([]*driveScore{}, 2, 0.3)
 	if len(got) != 2 || got[0] != 0.5 || got[1] != 0.5 {
 		t.Errorf("empty scores: thresholds = %v, want [0.5 0.5]", got)
 	}
 
 	// Group 1 scored no drives at all: it inherits the pooled
 	// threshold rather than panicking or defaulting separately.
-	scores := map[int]*driveScore{
-		1: mk(1, 5, 0.9, 0), 2: mk(2, 5, 0.6, 0), 3: mk(3, 5, 0.3, 0),
+	scores := []*driveScore{
+		mk(1, 5, 0.9, 0), mk(2, 5, 0.6, 0), mk(3, 5, 0.3, 0),
 	}
 	got = calibrateThresholds(scores, 2, 0.34)
 	if got[1] != got[0] {
@@ -137,15 +137,15 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 	// A single failing drive: threshold is that drive's max (below the
 	// minGroupCalibration count, so per-group inherits pooled — which
 	// equals the same single value).
-	single := map[int]*driveScore{1: mk(1, 5, 0.7, 0)}
+	single := []*driveScore{mk(1, 5, 0.7, 0)}
 	if got := calibrateThresholds(single, 1, 0.3); got[0] != 0.7 {
 		t.Errorf("single drive: threshold = %v, want 0.7", got)
 	}
 
 	// All probabilities tied: no feasible midpoint interval, threshold
 	// sits on the tied value for any target recall.
-	tied := map[int]*driveScore{
-		1: mk(1, 5, 0.4, 0), 2: mk(2, 5, 0.4, 0), 3: mk(3, 5, 0.4, 0),
+	tied := []*driveScore{
+		mk(1, 5, 0.4, 0), mk(2, 5, 0.4, 0), mk(3, 5, 0.4, 0),
 	}
 	for _, recall := range []float64{0.1, 0.5, 1.0} {
 		if got := calibrateThresholds(tied, 1, recall); got[0] != 0.4 {
@@ -156,8 +156,8 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 	// All-zero scores (a model that never fires): the floor keeps the
 	// threshold strictly positive so healthy all-zero drives do not
 	// alarm.
-	zeros := map[int]*driveScore{
-		1: mk(1, 5, 0, 0), 2: mk(2, 5, 0, 0), 3: mk(3, 5, 0, 0),
+	zeros := []*driveScore{
+		mk(1, 5, 0, 0), mk(2, 5, 0, 0), mk(3, 5, 0, 0),
 	}
 	if got := calibrateThresholds(zeros, 1, 0.3); got[0] != 0.05 {
 		t.Errorf("all-zero scores: threshold = %v, want 0.05 floor", got)
@@ -165,8 +165,8 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 
 	// A failing drive whose failure predates its first scored day is
 	// excluded from calibration (it failed before the window).
-	past := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 5}, days: []int{10}, probs: []float64{0.9}, group: []int{0}},
+	past := []*driveScore{
+		{ref: dataset.DriveRef{ID: 1, FailDay: 5}, days: []int{10}, probs: []float64{0.9}, group: []int{0}},
 	}
 	if got := calibrateThresholds(past, 1, 0.3); got[0] != 0.5 {
 		t.Errorf("pre-window failure: threshold = %v, want 0.5 default", got)
@@ -174,11 +174,11 @@ func TestCalibrateThresholdsEdgeCases(t *testing.T) {
 }
 
 func TestFinalizeOutcomesWindowing(t *testing.T) {
-	scores := map[int]*driveScore{
+	scores := []*driveScore{
 		// Fails 10 days past the phase end: still in the 30-day window.
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 110}, days: []int{95, 96}, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}, group: []int{0, 0}, lastDay: 96, lastMWI: 49},
+		{ref: dataset.DriveRef{ID: 1, FailDay: 110}, days: []int{95, 96}, probs: []float64{0.9, 0.1}, mwis: []float64{50, 49}, group: []int{0, 0}, lastDay: 96, lastMWI: 49},
 		// Fails 40 days past the end: out of scope for this phase.
-		2: {ref: dataset.DriveRef{ID: 2, FailDay: 140}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{70}, group: []int{0}, lastDay: 95, lastMWI: 70},
+		{ref: dataset.DriveRef{ID: 2, FailDay: 140}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{70}, group: []int{0}, lastDay: 95, lastMWI: 70},
 	}
 	out := finalizeOutcomes(scores, []float64{0.5}, 100)
 	if len(out) != 2 {
@@ -203,14 +203,14 @@ func TestFinalizeOutcomesWindowing(t *testing.T) {
 // around the threshold, and deterministic ID ordering.
 func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 	// Empty: no outcomes, no panic.
-	if out := finalizeOutcomes(map[int]*driveScore{}, []float64{0.5}, 100); len(out) != 0 {
+	if out := finalizeOutcomes([]*driveScore{}, []float64{0.5}, 100); len(out) != 0 {
 		t.Errorf("empty scores produced %d outcomes", len(out))
 	}
 
 	// Single healthy drive, all scores below threshold: no alarm, MWI
 	// reported at last observed day, MaxProb still tracked.
-	one := map[int]*driveScore{
-		7: {ref: dataset.DriveRef{ID: 7, FailDay: -1}, days: []int{95, 96}, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}, group: []int{0, 0}, lastDay: 96, lastMWI: 41},
+	one := []*driveScore{
+		{ref: dataset.DriveRef{ID: 7, FailDay: -1}, days: []int{95, 96}, probs: []float64{0.2, 0.3}, mwis: []float64{40, 41}, group: []int{0, 0}, lastDay: 96, lastMWI: 41},
 	}
 	out := finalizeOutcomes(one, []float64{0.5}, 100)
 	if len(out) != 1 || out[0].Pred.FirstAlarmDay != -1 {
@@ -222,18 +222,18 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 
 	// A probability exactly at the threshold alarms (>=, not >), and
 	// the first such day wins even when a later day ties it.
-	tie := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96, 97}, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}, group: []int{0, 0, 0}, lastDay: 97, lastMWI: 12},
+	tie := []*driveScore{
+		{ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96, 97}, probs: []float64{0.4, 0.5, 0.5}, mwis: []float64{10, 11, 12}, group: []int{0, 0, 0}, lastDay: 97, lastMWI: 12},
 	}
 	out = finalizeOutcomes(tie, []float64{0.5}, 100)
 	if out[0].Pred.FirstAlarmDay != 96 || out[0].MWI != 11 {
 		t.Errorf("tied threshold: alarm day = %d, MWI = %v, want day 96 MWI 11", out[0].Pred.FirstAlarmDay, out[0].MWI)
 	}
 
-	// Outcomes are sorted by drive ID regardless of map order.
-	many := map[int]*driveScore{}
+	// Outcomes are sorted by drive ID regardless of inventory order.
+	many := []*driveScore{}
 	for _, id := range []int{42, 7, 99, 13} {
-		many[id] = &driveScore{ref: dataset.DriveRef{ID: id, FailDay: -1}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{5}, group: []int{0}, lastDay: 95, lastMWI: 5}
+		many = append(many, &driveScore{ref: dataset.DriveRef{ID: id, FailDay: -1}, days: []int{95}, probs: []float64{0.1}, mwis: []float64{5}, group: []int{0}, lastDay: 95, lastMWI: 5})
 	}
 	out = finalizeOutcomes(many, []float64{0.5}, 100)
 	for i := 1; i < len(out); i++ {
@@ -244,8 +244,8 @@ func TestFinalizeOutcomesEdgeCases(t *testing.T) {
 
 	// Per-group thresholds: day scored by group 1 uses group 1's
 	// threshold.
-	grouped := map[int]*driveScore{
-		1: {ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96}, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}, group: []int{0, 1}, lastDay: 96, lastMWI: 50},
+	grouped := []*driveScore{
+		{ref: dataset.DriveRef{ID: 1, FailDay: 120}, days: []int{95, 96}, probs: []float64{0.3, 0.3}, mwis: []float64{10, 50}, group: []int{0, 1}, lastDay: 96, lastMWI: 50},
 	}
 	out = finalizeOutcomes(grouped, []float64{0.5, 0.25}, 100)
 	if out[0].Pred.FirstAlarmDay != 96 {

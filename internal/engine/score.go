@@ -1,31 +1,20 @@
 package engine
 
 import (
-	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/featgen"
 	"repro/internal/metrics"
 	"repro/internal/smart"
+	"repro/internal/store"
 )
-
-// probsPool recycles per-group score buffers across groups and phases.
-// A phase scores every group of every window through here, so without
-// the pool each call transiently allocates rows×8 bytes that die young.
-var probsPool sync.Pool
-
-func getProbs(n int) []float64 {
-	if v := probsPool.Get(); v != nil {
-		if buf := v.([]float64); cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]float64, n)
-}
-
-func putProbs(buf []float64) { probsPool.Put(buf) }
 
 // driveScore accumulates one drive's scored days within a window.
 type driveScore struct {
@@ -54,174 +43,426 @@ func (ds *driveScore) maxProbIn(g int) (float64, bool) {
 	return best, any
 }
 
-// refIndexer is satisfied by sources that cache the drive-ID-to-ref
-// map (store snapshots); other sources fall back to building it once
-// per scoring pass.
-type refIndexer interface {
-	RefIndex(m smart.ModelID) map[int]dataset.DriveRef
-}
-
-// refIndex returns the model's drive-ID-to-ref map, served from the
-// source's cache when it has one.
-func refIndex(src dataset.Source, model smart.ModelID) map[int]dataset.DriveRef {
-	if ri, ok := src.(refIndexer); ok {
-		if m := ri.RefIndex(model); m != nil {
-			return m
-		}
-	}
-	refs := src.DrivesOf(model)
-	out := make(map[int]dataset.DriveRef, len(refs))
-	for _, r := range refs {
-		out[r.ID] = r
-	}
-	return out
-}
-
-// ScoreBuf recycles the per-call working state of repeated scoring
-// passes — the per-drive score accumulators, the frame column storage,
-// and the outcome slice — so callers that score the fleet over and
-// over (the serving daemon's bulk endpoint, the continuous-operation
-// controller's daily summaries) do not re-allocate them every call.
-// The zero value is ready to use. Outcomes returned by ScoreInto alias
-// the buffer and are valid only until its next use; a ScoreBuf must
-// not be used concurrently.
+// ScoreBuf recycles the working state of repeated scoring passes — the
+// per-worker input columns, the per-shard score storage and the
+// outcome slice — so callers that score the fleet over and over (the
+// serving daemon's bulk endpoint, the continuous-operation
+// controller's daily summaries) allocate nothing proportional to the
+// fleet once the buffer has grown. The zero value is ready to use.
+// Outcomes returned by ScoreInto alias the buffer and are valid only
+// until its next use; a ScoreBuf must not be used concurrently.
 type ScoreBuf struct {
-	scores   map[int]*driveScore
-	free     []*driveScore
-	frame    dataset.FrameBuf
-	cols     [][]float64
-	ids      []int
+	workers  []*passWorker
+	shards   []passShard
+	scores   []*driveScore
 	outcomes []DriveOutcome
 }
 
-// reset clears the buffer for the next pass, recycling every
-// driveScore (slices kept, lengths zeroed) through the free list.
-func (b *ScoreBuf) reset() {
-	if b.scores == nil {
-		b.scores = make(map[int]*driveScore)
-		return
-	}
-	for id, ds := range b.scores {
-		ds.days = ds.days[:0]
-		ds.probs = ds.probs[:0]
-		ds.mwis = ds.mwis[:0]
-		ds.group = ds.group[:0]
-		b.free = append(b.free, ds)
-		delete(b.scores, id)
-	}
+// shardRows caps a shard's drive-days, bounding each worker's input
+// columns on long windows; a one-day pass never reaches it below ~16k
+// drives per worker.
+const shardRows = 4096
+
+// shardsPerWorker oversplits the fleet so that workers finishing early
+// take more shards: a 450-drive fleet is still 8 shards on 2 workers.
+const shardsPerWorker = 4
+
+// scorePass is one scoring pass's shared, read-only set-up.
+type scorePass struct {
+	refs    []dataset.DriveRef
+	groups  []group
+	windows []int
+	nGen    int
+	lo, hi  int
+	gpos    [][]int // gpos[g][k]: column index of groups[g].feats[k]
+	mwi     int     // column index of MWIFeature
+	read    columnReader
+	san     *dataset.SanitizeOpts
+	mask    bool
+	per     int // drives per shard
 }
 
-// get returns a cleared driveScore, recycled when one is available.
-func (b *ScoreBuf) get() *driveScore {
-	if n := len(b.free); n > 0 {
-		ds := b.free[n-1]
-		b.free = b.free[:n-1]
-		*ds = driveScore{days: ds.days, probs: ds.probs, mwis: ds.mwis, group: ds.group, lastDay: -1}
-		return ds
+// columnReader reads the pass's feature columns of the drive at
+// inventory position i into dst (nil where the drive lacks one) and
+// returns its last observed day.
+type columnReader interface {
+	Read(i int, dst [][]float64) (int, error)
+}
+
+// seriesColumns adapts any dataset.Source to a columnReader: one
+// Series map per drive, probed once per feature.
+type seriesColumns struct {
+	src   dataset.Source
+	refs  []dataset.DriveRef
+	feats []smart.Feature
+}
+
+func (r seriesColumns) Read(i int, dst [][]float64) (int, error) {
+	series, lastDay, err := r.src.Series(r.refs[i])
+	if err != nil {
+		return 0, err
 	}
-	return &driveScore{lastDay: -1}
+	for k, ft := range r.feats {
+		dst[k] = series[ft]
+	}
+	return lastDay, nil
+}
+
+// passWorker is one worker's reusable scratch.
+type passWorker struct {
+	cols  [][]float64 // the drive's columns, one per pass feature
+	clean [][]float64 // their sanitized copies (robust scoring)
+	miss  [][]bool    // and pre-imputation missingness
+	gser  [][]float64 // one group's feature columns of the drive
+	in    []groupInput
+	plan  []planRow
+	row   rowScratch
+}
+
+// groupInput is one group's model-input columns for the shard being
+// scored. The columns share one slab and one length, their capacity;
+// the first rows cells are the shard's.
+type groupInput struct {
+	cols  [][]float64
+	rows  int
+	kcols [][]float64 // the kernel's view: cols cut to rows
+	probs []float64
+}
+
+// cell returns the input columns with room for row r, growing them
+// (doubling, contents kept) when full.
+func (gi *groupInput) cell(r, width int) [][]float64 {
+	if len(gi.cols) != width {
+		gi.cols = make([][]float64, width)
+	}
+	if width == 0 || r < len(gi.cols[0]) {
+		return gi.cols
+	}
+	grown := max(64, 2*len(gi.cols[0]))
+	slab := make([]float64, grown*width)
+	for c := range gi.cols {
+		copy(slab[c*grown:], gi.cols[c])
+		gi.cols[c] = slab[c*grown : (c+1)*grown : (c+1)*grown]
+	}
+	return gi.cols
+}
+
+// planRow is one scored drive-day of a shard, in scoring order.
+type planRow struct {
+	drive, day, group, row int
+	mwi                    float64
+}
+
+// passShard is one shard's output: its scored drives in inventory
+// order, with their days carved from the shard's flat slices. err is
+// the shard's first failure in (group, drive) order.
+type passShard struct {
+	scores   []driveScore
+	days     []int
+	probs    []float64
+	mwis     []float64
+	group    []int
+	rows     int
+	err      error
+	errGroup int
+	errDrive int
+}
+
+// fail records err unless the shard already holds an earlier one. A
+// sequence of per-group frames would have reported the failing group
+// with the lowest index first, and within it the first failing drive
+// in inventory order; the pass reports the same error.
+func (sh *passShard) fail(g, drive int, err error) {
+	if sh.err == nil || g < sh.errGroup || (g == sh.errGroup && drive < sh.errDrive) {
+		sh.err, sh.errGroup, sh.errDrive = err, g, drive
+	}
 }
 
 // scorePhase scores every drive-day of [lo, hi] with the per-group
-// models and groups the probabilities by drive (days ascending). The
-// second return is the total number of drive-day rows scored.
-func scorePhase(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config) (map[int]*driveScore, int, error) {
+// models and returns each scored drive (days ascending) in inventory
+// order. The second return is the total number of drive-day rows
+// scored.
+func scorePhase(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config) ([]*driveScore, int, error) {
 	return scorePhaseInto(src, model, groups, lo, hi, cfg, nil)
 }
 
 // scorePhaseInto is scorePhase drawing its working state from buf when
-// one is provided; results are bit-identical either way.
-func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config, buf *ScoreBuf) (map[int]*driveScore, int, error) {
-	var out map[int]*driveScore
-	var frameBuf *dataset.FrameBuf
-	if buf != nil {
-		buf.reset()
-		out = buf.scores
-		frameBuf = &buf.frame
-	} else {
-		out = make(map[int]*driveScore)
+// one is provided; results are bit-identical either way, and for any
+// worker count.
+//
+// It is one pass over the model's drives, split into contiguous shards
+// that workers take in turn. Each drive is read once, for the union of
+// the groups' features plus MWI_N. Each day of [lo, min(hi, last day)]
+// is routed by the groups' wear bounds, and its row is written into
+// the admitting group's input columns by featurizeRow. Then every
+// group's rows of the shard go through its compiled model in one
+// kernel call. The scores land in the drive's days in ascending order,
+// exactly as the labeled frame dataset.Frame would build per group,
+// row for row.
+func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo, hi int, cfg Config, buf *ScoreBuf) ([]*driveScore, int, error) {
+	if buf == nil {
+		buf = new(ScoreBuf)
 	}
-	rows := 0
-	// One ref index per pass (cached on store snapshots), not one per
-	// group.
-	refs := refIndex(src, model)
-	for gi, g := range groups {
-		fr, err := dataset.Frame(src, dataset.FrameOpts{
-			Model: model, DayLo: lo, DayHi: hi, NegEvery: 1,
-			Features: g.feats, Expand: true, Windows: cfg.Windows,
-			MWIBelow: g.mwiBelow, MWIAtLeast: g.mwiAtLeast,
-			Workers: cfg.Workers, Sanitize: cfg.sanitizeOpts(true),
-			Reuse: frameBuf,
-		})
-		if errors.Is(err, dataset.ErrNoSamples) {
-			continue
+	if days := src.Days(); lo < 0 || hi >= days || lo > hi {
+		return nil, 0, fmt.Errorf("%w: day range [%d, %d] outside dataset of %d days", dataset.ErrBadOpts, lo, hi, days)
+	}
+	refs := src.DrivesOf(model)
+	if len(refs) == 0 || len(groups) == 0 {
+		return buf.scores[:0], 0, nil
+	}
+	ps := &scorePass{refs: refs, groups: groups, windows: cfg.Windows, lo: lo, hi: hi}
+	if ps.windows == nil {
+		ps.windows = featgen.DefaultWindows
+	}
+	ps.nGen = featgen.NumGenerated(ps.windows)
+	if ps.san = cfg.sanitizeOpts(true); ps.san != nil {
+		ps.mask = ps.san.MissMask
+	}
+
+	// The pass's columns: every group's features, then the wear index.
+	var feats []smart.Feature
+	at := func(ft smart.Feature) int {
+		if i := slices.Index(feats, ft); i >= 0 {
+			return i
 		}
+		feats = append(feats, ft)
+		return len(feats) - 1
+	}
+	ps.gpos = make([][]int, len(groups))
+	for g := range groups {
+		ps.gpos[g] = make([]int, len(groups[g].feats))
+		for k, ft := range groups[g].feats {
+			ps.gpos[g][k] = at(ft)
+		}
+	}
+	ps.mwi = at(MWIFeature)
+	if snap, ok := src.(*store.Snapshot); ok {
+		r, err := snap.Columns(model, feats)
 		if err != nil {
-			return nil, rows, err
+			return nil, 0, err
 		}
-		var cols [][]float64
-		if buf != nil {
-			cols = buf.cols[:0]
-			for i := 0; i < fr.NumFeatures(); i++ {
-				cols = append(cols, fr.Col(i))
-			}
-			buf.cols = cols[:0]
-		} else {
-			cols = make([][]float64, fr.NumFeatures())
-			for i := range cols {
-				cols[i] = fr.Col(i)
-			}
-		}
-		probs := getProbs(fr.NumRows())
-		if err := g.model.PredictProbaBatch(cols, probs); err != nil {
-			putProbs(probs)
-			return nil, rows, err
-		}
-		rows += fr.NumRows()
-		for i := 0; i < fr.NumRows(); i++ {
-			m := fr.Meta(i)
-			ds, ok := out[m.DriveID]
-			if !ok {
-				if buf != nil {
-					ds = buf.get()
-				} else {
-					ds = &driveScore{lastDay: -1}
-				}
-				ds.ref = refs[m.DriveID]
-				out[m.DriveID] = ds
-			}
-			ds.days = append(ds.days, m.Day)
-			ds.probs = append(ds.probs, probs[i])
-			ds.mwis = append(ds.mwis, m.MWI)
-			ds.group = append(ds.group, gi)
-			if m.Day > ds.lastDay {
-				ds.lastDay = m.Day
-				ds.lastMWI = m.MWI
-			}
-		}
-		putProbs(probs)
+		ps.read = r
+	} else {
+		ps.read = seriesColumns{src: src, refs: refs, feats: feats}
 	}
-	// Within-drive days arrive ascending per group but groups can
-	// interleave (a drive can cross the MWI threshold mid-phase).
-	for _, ds := range out {
-		sortDriveScore(ds)
+
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	n := len(refs)
+	ps.per = (n + shardsPerWorker*workers - 1) / (shardsPerWorker * workers)
+	ps.per = min(ps.per, max(1, shardRows/(hi-lo+1)))
+	nShards := (n + ps.per - 1) / ps.per
+	workers = min(workers, nShards)
+
+	if len(buf.shards) < nShards {
+		buf.shards = append(buf.shards, make([]passShard, nShards-len(buf.shards))...)
+	}
+	shards := buf.shards[:nShards]
+	for len(buf.workers) < workers {
+		buf.workers = append(buf.workers, new(passWorker))
+	}
+	for _, w := range buf.workers[:workers] {
+		w.reset(ps, len(feats))
+	}
+	if workers == 1 {
+		for s := range shards {
+			ps.runShard(buf.workers[0], &shards[s], s)
+		}
+	} else {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for _, w := range buf.workers[:workers] {
+			wg.Add(1)
+			go func(w *passWorker) {
+				defer wg.Done()
+				for {
+					s := int(next.Add(1)) - 1
+					if s >= nShards {
+						return
+					}
+					ps.runShard(w, &shards[s], s)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+
+	var first passShard
+	rows := 0
+	out := buf.scores[:0]
+	for s := range shards {
+		sh := &shards[s]
+		if sh.err != nil {
+			first.fail(sh.errGroup, sh.errDrive, sh.err)
+		}
+		rows += sh.rows
+		for j := range sh.scores {
+			out = append(out, &sh.scores[j])
+		}
+	}
+	buf.scores = out
+	if first.err != nil {
+		return nil, rows, first.err
 	}
 	return out, rows, nil
 }
 
-// sortDriveScore orders a drive's scored days ascending, in place. The
-// rows are a merge of at most numGroups already-ascending runs — and
-// within a drive each day is scored by exactly one group, so days are
-// unique — which makes insertion sort nearly linear here and, unlike
-// an index sort, allocation-free.
-func sortDriveScore(ds *driveScore) {
-	for i := 1; i < len(ds.days); i++ {
-		for j := i; j > 0 && ds.days[j] < ds.days[j-1]; j-- {
-			ds.days[j], ds.days[j-1] = ds.days[j-1], ds.days[j]
-			ds.probs[j], ds.probs[j-1] = ds.probs[j-1], ds.probs[j]
-			ds.mwis[j], ds.mwis[j-1] = ds.mwis[j-1], ds.mwis[j]
-			ds.group[j], ds.group[j-1] = ds.group[j-1], ds.group[j]
+// reset sizes the worker's scratch for a pass with the given number of
+// feature columns.
+func (w *passWorker) reset(ps *scorePass, nFeats int) {
+	w.cols = resize(w.cols, nFeats)
+	if ps.san != nil {
+		w.clean = resize(w.clean, nFeats)
+		w.miss = resize(w.miss, nFeats)
+	}
+	w.in = resize(w.in, len(ps.groups))
+}
+
+// resize returns s with length n, reusing its storage when it can.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// width returns group g's model-input width: its features, their
+// generated statistics and, when masking, their missingness indicators.
+func (ps *scorePass) width(g int) int {
+	n := len(ps.groups[g].feats)
+	w := n + n*ps.nGen
+	if ps.mask {
+		w += n
+	}
+	return w
+}
+
+// runShard scores shard s, drives [s*per, (s+1)*per), into sh.
+func (ps *scorePass) runShard(w *passWorker, sh *passShard, s int) {
+	a := s * ps.per
+	b := min(a+ps.per, len(ps.refs))
+	sh.scores, sh.rows, sh.err = sh.scores[:0], 0, nil
+	w.plan = w.plan[:0]
+	for g := range w.in {
+		w.in[g].rows = 0
+	}
+	for i := a; i < b; i++ {
+		if sh.err != nil && sh.errGroup == 0 {
+			// Nothing later in the shard can precede this failure.
+			return
 		}
+		lastDay, err := ps.read.Read(i, w.cols)
+		if err != nil {
+			sh.fail(0, i, err)
+			continue
+		}
+		hi := min(ps.hi, lastDay)
+		if ps.lo > hi {
+			continue
+		}
+		cols, miss := w.cols, w.miss
+		if ps.san != nil {
+			ps.san.SanitizeColumns(w.clean, w.miss, w.cols)
+			cols = w.clean
+		}
+		mwiCol := cols[ps.mwi]
+		for day := ps.lo; day <= hi; day++ {
+			mwi := 0.0
+			if mwiCol != nil {
+				mwi = mwiCol[day]
+			}
+			for g := range ps.groups {
+				if !ps.groups[g].admits(mwi) {
+					continue
+				}
+				if err := ps.featurize(w, g, cols, miss, day); err != nil {
+					sh.fail(g, i, err)
+					continue
+				}
+				gi := &w.in[g]
+				w.plan = append(w.plan, planRow{drive: i, day: day, group: g, row: gi.rows, mwi: mwi})
+				gi.rows++
+			}
+		}
+	}
+	if sh.err != nil {
+		return
+	}
+	for g := range w.in {
+		gi := &w.in[g]
+		if gi.rows == 0 {
+			continue
+		}
+		gi.kcols = resize(gi.kcols, len(gi.cols))
+		for c, col := range gi.cols {
+			gi.kcols[c] = col[:gi.rows]
+		}
+		gi.probs = resize(gi.probs, gi.rows)
+		if err := ps.groups[g].model.PredictProbaBatch(gi.kcols, gi.probs); err != nil {
+			// The kernel runs once a group's rows are all assembled.
+			sh.fail(g, len(ps.refs), err)
+			return
+		}
+	}
+	ps.collect(w, sh)
+}
+
+// featurize writes drive-day row gi.rows of group g from the drive's
+// pass columns (and, when masking, their missingness).
+func (ps *scorePass) featurize(w *passWorker, g int, cols [][]float64, miss [][]bool, day int) error {
+	gi := &w.in[g]
+	r := gi.rows
+	dst := gi.cell(r, ps.width(g))
+	w.gser = w.gser[:0]
+	for _, c := range ps.gpos[g] {
+		w.gser = append(w.gser, cols[c])
+	}
+	feats := ps.groups[g].feats
+	if err := featurizeRow(dst, r, feats, w.gser, day, ps.windows, &w.row); err != nil {
+		return err
+	}
+	if ps.mask {
+		base := len(feats) * (1 + ps.nGen)
+		for k, c := range ps.gpos[g] {
+			v := 0.0
+			if m := miss[c]; day < len(m) && m[day] {
+				v = 1
+			}
+			dst[base+k][r] = v
+		}
+	}
+	return nil
+}
+
+// collect moves the shard's scores out of the worker: rows are planned
+// drive by drive, days ascending, so each drive's scores are one
+// contiguous run of the shard's slices.
+func (ps *scorePass) collect(w *passWorker, sh *passShard) {
+	n := len(w.plan)
+	sh.rows = n
+	sh.days = resize(sh.days, n)
+	sh.probs = resize(sh.probs, n)
+	sh.mwis = resize(sh.mwis, n)
+	sh.group = resize(sh.group, n)
+	for j := 0; j < n; {
+		a := j
+		for ; j < n && w.plan[j].drive == w.plan[a].drive; j++ {
+			p := &w.plan[j]
+			sh.days[j], sh.mwis[j], sh.group[j] = p.day, p.mwi, p.group
+			sh.probs[j] = w.in[p.group].probs[p.row]
+		}
+		last := &w.plan[j-1]
+		sh.scores = append(sh.scores, driveScore{
+			ref:     ps.refs[last.drive],
+			days:    sh.days[a:j:j],
+			probs:   sh.probs[a:j:j],
+			mwis:    sh.mwis[a:j:j],
+			group:   sh.group[a:j:j],
+			lastDay: last.day,
+			lastMWI: last.mwi,
+		})
 	}
 }
 
@@ -237,7 +478,7 @@ const minGroupCalibration = 3
 // differ; a shared threshold would flood the denser group with false
 // alarms. Groups with too few failing validation drives inherit the
 // pooled threshold (0.5 when no failing drives exist at all).
-func calibrateThresholds(scores map[int]*driveScore, numGroups int, targetRecall float64) []float64 {
+func calibrateThresholds(scores []*driveScore, numGroups int, targetRecall float64) []float64 {
 	pick := func(failingMax []float64) (float64, bool) {
 		if len(failingMax) == 0 {
 			return 0.5, false
@@ -305,29 +546,23 @@ func calibrateThresholds(scores map[int]*driveScore, numGroups int, targetRecall
 // alarming on the first day whose probability clears its group's
 // threshold. Failures more than PredictionWindow days past the phase
 // end belong to later phases and are treated as healthy here.
-func finalizeOutcomes(scores map[int]*driveScore, thresholds []float64, testHi int) []DriveOutcome {
+func finalizeOutcomes(scores []*driveScore, thresholds []float64, testHi int) []DriveOutcome {
 	return finalizeOutcomesInto(scores, thresholds, testHi, nil)
 }
 
 // finalizeOutcomesInto is finalizeOutcomes appending into buf's
-// recycled slices when a buffer is provided; the returned outcomes
-// then alias the buffer and are valid only until its next use.
-func finalizeOutcomesInto(scores map[int]*driveScore, thresholds []float64, testHi int, buf *ScoreBuf) []DriveOutcome {
-	var ids []int
+// recycled slice when a buffer is provided; the returned outcomes then
+// alias the buffer and are valid only until its next use. Outcomes are
+// in ascending drive-ID order; scores is sorted into it in place.
+func finalizeOutcomesInto(scores []*driveScore, thresholds []float64, testHi int, buf *ScoreBuf) []DriveOutcome {
 	var out []DriveOutcome
 	if buf != nil {
-		ids = buf.ids[:0]
 		out = buf.outcomes[:0]
 	} else {
-		ids = make([]int, 0, len(scores))
 		out = make([]DriveOutcome, 0, len(scores))
 	}
-	for id := range scores {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		ds := scores[id]
+	slices.SortFunc(scores, func(a, b *driveScore) int { return a.ref.ID - b.ref.ID })
+	for _, ds := range scores {
 		first := -1
 		mwi := ds.lastMWI
 		maxProb := 0.0
@@ -345,13 +580,12 @@ func finalizeOutcomesInto(scores map[int]*driveScore, thresholds []float64, test
 			failDay = -1
 		}
 		out = append(out, DriveOutcome{
-			Pred:    metrics.DrivePrediction{DriveID: id, FirstAlarmDay: first, FailDay: failDay},
+			Pred:    metrics.DrivePrediction{DriveID: ds.ref.ID, FirstAlarmDay: first, FailDay: failDay},
 			MWI:     mwi,
 			MaxProb: maxProb,
 		})
 	}
 	if buf != nil {
-		buf.ids = ids[:0]
 		buf.outcomes = out
 	}
 	return out

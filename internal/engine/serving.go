@@ -10,18 +10,20 @@ import (
 
 // This file is the Scorer surface the serving daemon builds on: a
 // pooled-scratch scoring pass (ScoreInto) plus read-only accessors for
-// the snapshot's group structure, so a server can route a drive to its
-// wear group, assemble that group's model-input columns itself, and
-// push micro-batches straight through the group's compiled model.
+// the snapshot's group structure and row assembly (Featurize), so a
+// server can route a drive to its wear group, build that group's
+// model-input rows, and push micro-batches straight through the
+// group's compiled model.
 
 // ScoreInto scores days [lo, hi] exactly like Score but reuses buf's
-// per-drive score accumulators, frame column storage and outcome slice
-// across calls, so repeated passes (a serving daemon's fleet endpoint,
-// the controller's daily summaries) do not re-allocate them.
-// Featurization still allocates per drive on every call (its series
-// views and window statistics are built fresh). The returned outcomes
-// alias buf and are valid only until its next use; results are
-// bit-identical to Score.
+// working state — per-worker input columns, per-shard score storage and
+// the outcome slice — across calls, so repeated passes (a serving
+// daemon's fleet endpoint, the controller's daily summaries) allocate
+// nothing proportional to the fleet once buf has grown: over a store
+// snapshot, drives are read by column position and featurized in
+// place, and a call's allocation count is the same at any fleet size
+// (TestScoreIntoAllocsFlat). The returned outcomes alias buf and are
+// valid only until its next use; results are bit-identical to Score.
 func (s *Scorer) ScoreInto(src dataset.Source, lo, hi int, buf *ScoreBuf) ([]DriveOutcome, error) {
 	if buf == nil {
 		return s.Score(src, lo, hi)
@@ -61,18 +63,13 @@ func (s *Scorer) GroupThreshold(g int) float64 { return s.snap.Thresholds[g] }
 
 // PickGroup returns the index of the wear group that scores a day with
 // the given wear index, or -1 when no group admits it. The comparison
-// logic mirrors the engine's frame-extraction routing bit for bit,
-// including the NaN behavior documented on GroupMWIBounds.
+// is the scoring pass's routing, including the NaN behavior documented
+// on GroupMWIBounds.
 func (s *Scorer) PickGroup(mwi float64) int {
 	for g := range s.groups {
-		gr := &s.groups[g]
-		if gr.mwiBelow > 0 && mwi >= gr.mwiBelow {
-			continue
+		if s.groups[g].admits(mwi) {
+			return g
 		}
-		if gr.mwiAtLeast > 0 && !(mwi >= gr.mwiAtLeast) {
-			continue
-		}
-		return g
 	}
 	return -1
 }

@@ -437,9 +437,10 @@ func TestFlatScoringParity(t *testing.T) {
 	if len(flatScores) == 0 || len(flatScores) != len(ptrScores) {
 		t.Fatalf("scored %d drives flat, %d pointer", len(flatScores), len(ptrScores))
 	}
-	for id, fd := range flatScores {
-		pd, ok := ptrScores[id]
-		if !ok {
+	for i, fd := range flatScores {
+		pd := ptrScores[i]
+		id := fd.ref.ID
+		if pd.ref.ID != id {
 			t.Fatalf("drive %d missing from pointer scores", id)
 		}
 		if !reflect.DeepEqual(fd.days, pd.days) {

@@ -1,37 +1,32 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
 
+	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/featgen"
 	"repro/internal/smart"
-	"repro/internal/stats"
 )
 
-// featurize.go assembles one drive-day's model-input row exactly the
-// way the engine's frame extraction does: the group's original
-// features at the scored day, then — per feature — the generated
-// window statistics, whose trailing windows look back through the
-// supplied history. With at least maxWindow days of history before
-// the scored day, the row is bit-identical to the engine's, so online
-// scores match offline ones exactly.
+// featurize.go turns a resolved series into one model-input row
+// through the engine's row assembly — the same code the offline
+// scoring pass runs for every drive-day — so with at least maxWindow
+// days of history before the scored day, online scores match offline
+// ones bit for bit.
 
-// featScratch is the pooled working state of one row assembly.
+// featScratch is the pooled working state of one single-drive row.
 type featScratch struct {
-	row     []float64
-	gen     [][]float64 // nGen single-day views into genSlab
-	genSlab []float64
-	rolling []stats.RollingStats
+	row []float64
+	rs  engine.RowScratch
 }
 
 var featPool sync.Pool
 
-// getScratch returns scratch sized for width row columns and nGen
-// generated stats per feature.
-func getScratch(width, nGen int) *featScratch {
+// getScratch returns scratch whose row holds width columns.
+func getScratch(width int) *featScratch {
 	fs, _ := featPool.Get().(*featScratch)
 	if fs == nil {
 		fs = &featScratch{}
@@ -40,47 +35,21 @@ func getScratch(width, nGen int) *featScratch {
 		fs.row = make([]float64, width)
 	}
 	fs.row = fs.row[:width]
-	if cap(fs.genSlab) < nGen {
-		fs.genSlab = make([]float64, nGen)
-	}
-	fs.genSlab = fs.genSlab[:nGen]
-	if cap(fs.gen) < nGen {
-		fs.gen = make([][]float64, nGen)
-	}
-	fs.gen = fs.gen[:nGen]
-	for i := range fs.gen {
-		fs.gen[i] = fs.genSlab[i : i+1]
-	}
 	return fs
 }
 
 func putScratch(fs *featScratch) { featPool.Put(fs) }
 
-// driveRow fills row with the group's model inputs for the given day
-// of the series. Series columns must all have length > day; features
-// the group selected must be present.
-func (sv *serving) driveRow(g *groupRT, series map[smart.Feature][]float64, day int, fs *featScratch) error {
-	k := len(g.feats)
-	for i, ft := range g.feats {
-		col, ok := series[ft]
-		if !ok {
-			return &reqError{code: 400, msg: fmt.Sprintf("series is missing selected feature %v", ft)}
-		}
-		fs.row[i] = col[day]
+// featurize fills row with group g's model inputs for the given day of
+// the series. Series columns must all have length > day; a selected
+// feature the series lacks is the client's error.
+func (sv *serving) featurize(g *groupRT, series map[smart.Feature][]float64, day int, row []float64, rs *engine.RowScratch) error {
+	err := sv.scorer.Featurize(g.index, series, day, row, rs)
+	var missing *dataset.MissingFeatureError
+	if errors.As(err, &missing) {
+		return &reqError{code: 400, msg: fmt.Sprintf("series is missing selected feature %v", missing.Feature)}
 	}
-	for fi, ft := range g.feats {
-		col := series[ft]
-		var err error
-		fs.rolling, err = featgen.GenerateRangeInto(fs.gen, col, sv.windows, day, day, fs.rolling)
-		if err != nil {
-			return fmt.Errorf("serve: expand %v: %w", ft, err)
-		}
-		base := k + fi*g.nGen
-		for j := 0; j < g.nGen; j++ {
-			fs.row[base+j] = fs.gen[j][0]
-		}
-	}
-	return nil
+	return err
 }
 
 // routeMWI extracts the wear index the engine would route the day by:

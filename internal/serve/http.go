@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/smart"
 )
@@ -417,8 +418,8 @@ func (s *Server) scoreOn(ctx context.Context, sv *serving, req ScoreRequest) (Sc
 		return ScoreResponse{}, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("no wear group admits MWI %v", mwi)}
 	}
 	rt := sv.groups[g]
-	fs := getScratch(rt.width, rt.nGen)
-	err = sv.driveRow(rt, series, day, fs)
+	fs := getScratch(rt.width)
+	err = sv.featurize(rt, series, day, fs.row, &fs.rs)
 	if err != nil {
 		putScratch(fs)
 		return ScoreResponse{}, err
@@ -570,6 +571,7 @@ func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest
 	place := make([]placed, n)
 	rows := make([][]float64, n)
 	buckets := make([][]int, len(sv.groups)) // group -> request indices
+	var rs engine.RowScratch
 	resp := BatchResponse{Model: sv.name, Version: sv.version, ConfigHash: sv.hash}
 
 	for i, d := range req.Drives {
@@ -587,14 +589,10 @@ func (s *Server) scoreBatchOn(ctx context.Context, sv *serving, req BatchRequest
 			return resp, &reqError{code: http.StatusUnprocessableEntity, msg: fmt.Sprintf("drive %d of batch: no wear group admits MWI %v", i, mwi)}
 		}
 		rt := sv.groups[g]
-		fs := getScratch(rt.width, rt.nGen)
-		if err := sv.driveRow(rt, series, day, fs); err != nil {
-			putScratch(fs)
+		row := make([]float64, rt.width)
+		if err := sv.featurize(rt, series, day, row, &rs); err != nil {
 			return resp, &reqError{code: errCode(err), msg: fmt.Sprintf("drive %d of batch: %v", i, err)}
 		}
-		row := make([]float64, rt.width)
-		copy(row, fs.row)
-		putScratch(fs)
 		rows[i] = row
 		place[i] = placed{group: g, slot: len(buckets[g])}
 		buckets[g] = append(buckets[g], i)

@@ -200,6 +200,48 @@ func TestServeFleet(t *testing.T) {
 	}
 }
 
+// TestServeFleetDayZero is the regression test for day 0: the fleet
+// answer for {"day": 0} equals the in-process pass over exactly [0, 0]
+// — one scored day per drive, not the whole horizon.
+func TestServeFleetDayZero(t *testing.T) {
+	s, _, st := newTestServer(t, Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, snapA, _ := testFleet(t)
+	scorer, err := engine.NewScorer(snapA, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := st.Snapshot()
+	offline, err := scorer.Score(snap, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snap.DrivesOf(testModel)); len(offline) != n {
+		t.Fatalf("day 0 scored %d drives, inventory has %d", len(offline), n)
+	}
+	alarms, total := 0, 0.0
+	for _, o := range offline {
+		total += o.MaxProb
+		if o.Pred.FirstAlarmDay >= 0 {
+			alarms++
+			if o.Pred.FirstAlarmDay != 0 {
+				t.Fatalf("drive %d alarmed on day %d of a day-0 pass", o.Pred.DriveID, o.Pred.FirstAlarmDay)
+			}
+		}
+	}
+	var resp FleetResponse
+	code, body := postJSON(t, ts.Client(), ts.URL+"/v1/score/fleet", FleetRequest{Model: "serving", Day: 0}, &resp)
+	if code != http.StatusOK {
+		t.Fatalf("HTTP %d: %s", code, body)
+	}
+	if resp.Drives != len(offline) || resp.Alarms != alarms || resp.MeanProb != total/float64(len(offline)) {
+		t.Fatalf("day-0 fleet answer %d drives / %d alarms / mean %v, in-process %d / %d / %v",
+			resp.Drives, resp.Alarms, resp.MeanProb, len(offline), alarms, total/float64(len(offline)))
+	}
+}
+
 // TestServeIngest: admission advances the store horizon and newly
 // visible days become scoreable; days beyond the horizon are not.
 func TestServeIngest(t *testing.T) {

@@ -166,6 +166,43 @@ func runAppendVsReaders(t *testing.T, spill bool) {
 		}()
 	}
 
+	// ColumnReader readers: the fleet scoring pass's by-position reads
+	// of a fixed feature list, one reader per snapshot.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		feats := []smart.Feature{{Attr: smart.MWI, Kind: smart.Normalized}, {Attr: smart.UCE, Kind: smart.Raw}}
+		dst := make([][]float64, len(feats))
+		for !appendsDone.Load() {
+			snap := st.Snapshot()
+			h := snap.Days()
+			r, err := snap.Columns(smart.MC1, feats)
+			if err != nil {
+				t.Errorf("columns: %v", err)
+				return
+			}
+			for i, dr := range refsAll {
+				last, err := r.Read(i, dst)
+				if err != nil {
+					t.Errorf("read drive %d: %v", dr.ID, err)
+					return
+				}
+				want := ref[dr.ID]
+				if last != min(want.lastDay, h-1) {
+					t.Errorf("drive %d at horizon %d: lastDay %d", dr.ID, h, last)
+					return
+				}
+				for k, ft := range feats {
+					got, wantCol := dst[k][last], want.cols[ft][last]
+					if len(dst[k]) != last+1 || (got != wantCol && !(got != got && wantCol != wantCol)) {
+						t.Errorf("drive %d feature %v day %d: %v, want %v", dr.ID, ft, last, got, wantCol)
+						return
+					}
+				}
+			}
+		}
+	}()
+
 	// RefIndex readers: the per-request drive lookup path.
 	wg.Add(1)
 	go func() {

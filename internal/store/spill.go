@@ -362,22 +362,38 @@ func (sf *spillFile) column(fi int) []float64 {
 	return sf.blob[lo:hi:hi]
 }
 
-// series returns drive di's columns truncated to the horizon, aliasing
-// the file's blob (zero copy).
-func (sf *spillFile) series(di, horizon int) (map[smart.Feature][]float64, int, error) {
+// span returns drive di's first cell offset and its last day visible
+// within the horizon.
+func (sf *spillFile) span(di, horizon int) (int64, int, error) {
 	base := sf.offs[di]
 	lastDay := int(sf.offs[di+1]-base) - 1
 	if lastDay > horizon-1 {
 		lastDay = horizon - 1
 	}
 	if lastDay < 0 {
-		return nil, 0, fmt.Errorf("store: spilled drive has no days within horizon %d", horizon)
+		return 0, 0, fmt.Errorf("store: spilled drive has no days within horizon %d", horizon)
 	}
-	n := int64(lastDay + 1)
+	return base, lastDay, nil
+}
+
+// cells returns feature fi's cells for a drive starting at base,
+// n days long, aliasing the file's blob (zero copy).
+func (sf *spillFile) cells(fi int, base int64, n int) []float64 {
+	lo := int64(fi)*sf.total + base
+	hi := lo + int64(n)
+	return sf.blob[lo:hi:hi]
+}
+
+// series returns drive di's columns truncated to the horizon, aliasing
+// the file's blob (zero copy).
+func (sf *spillFile) series(di, horizon int) (map[smart.Feature][]float64, int, error) {
+	base, lastDay, err := sf.span(di, horizon)
+	if err != nil {
+		return nil, 0, err
+	}
 	out := make(map[smart.Feature][]float64, len(sf.feats))
 	for fi, ft := range sf.feats {
-		lo := int64(fi)*sf.total + base
-		out[ft] = sf.blob[lo : lo+n : lo+n]
+		out[ft] = sf.cells(fi, base, lastDay+1)
 	}
 	return out, lastDay, nil
 }
@@ -388,8 +404,13 @@ func sortedFeatures(cols map[smart.Feature][]float64) []smart.Feature {
 	for ft := range cols {
 		feats = append(feats, ft)
 	}
-	sort.Slice(feats, func(i, j int) bool { return feats[i].String() < feats[j].String() })
+	sortFeatures(feats)
 	return feats
+}
+
+// sortFeatures sorts features into canonical (name) order, in place.
+func sortFeatures(feats []smart.Feature) {
+	sort.Slice(feats, func(i, j int) bool { return feats[i].String() < feats[j].String() })
 }
 
 // nativeLE reports whether the host is little-endian, which lets the

@@ -9,8 +9,9 @@
 //
 // Snapshots implement dataset.Source, so every existing consumer
 // (frame extraction, survival curves, the selectors) reads through the
-// store unchanged, and additionally cache the per-model drive-ref
-// index that scoring passes previously rebuilt on every call.
+// store unchanged. They additionally cache the per-model drive-ref
+// index for by-ID lookups, and serve position-addressed column reads
+// (Columns) to the engine's fleet scoring pass.
 package store
 
 import (
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -116,13 +118,21 @@ type Store struct {
 // or both in sequence: Spill publishes sp before releasing the columns,
 // so concurrent readers always find the data in one of the two places.
 // Partitions opened directly from a spill file have no driveCols at all
-// (drives and byID are nil) and account visibility in spVisible.
+// (drives is nil) and account visibility in spVisible.
+//
+// In memory, every drive's columns are a slice indexed by one
+// partition-wide feature order — the union of the drives' features,
+// sorted by name like the spill file's columns — with the features a
+// drive does not report left nil. Both layouts therefore address a
+// feature by position, which is what a ColumnReader resolves once.
 type partition struct {
 	refs     []dataset.DriveRef
 	refIndex map[int]dataset.DriveRef
-	idxByID  map[int]int // drive ID -> index in refs / spill order
-	byID     map[int]*driveCols
+	idxByID  map[int]int // drive ID -> index in refs, drives and spill order
 	drives   []*driveCols
+
+	featMu sync.Mutex                      // serializes extending feats
+	feats  atomic.Pointer[[]smart.Feature] // in-memory column order; only ever extended
 
 	sp        atomic.Pointer[spillFile]
 	spVisible atomic.Int64 // cells accounted for drive-less spill partitions
@@ -139,7 +149,79 @@ type driveCols struct {
 	fetched bool
 	lastDay int
 	visible atomic.Int64 // days already accounted as ingested
-	cols    map[smart.Feature][]float64
+	cols    [][]float64  // indexed by the partition's feature order
+}
+
+// featList returns the partition's in-memory feature order. A drive's
+// column slice is never longer than the list loaded after it.
+func (p *partition) featList() []smart.Feature {
+	if f := p.feats.Load(); f != nil {
+		return *f
+	}
+	return nil
+}
+
+// layout converts a fetched series into the partition's feature-indexed
+// form. Features no earlier drive reported extend the order, sorted by
+// name among themselves, so a fleet whose drives share one feature set
+// ends up in exactly the spill file's order; positions never move.
+func (p *partition) layout(series map[smart.Feature][]float64) [][]float64 {
+	p.featMu.Lock()
+	defer p.featMu.Unlock()
+	feats := p.featList()
+	cols := make([][]float64, len(feats))
+	known := 0
+	for i, ft := range feats {
+		if col, ok := series[ft]; ok {
+			cols[i] = col
+			known++
+		}
+	}
+	if known == len(series) {
+		return cols
+	}
+	var added []smart.Feature
+	for ft := range series {
+		if !slices.Contains(feats, ft) {
+			added = append(added, ft)
+		}
+	}
+	sortFeatures(added)
+	grown := append(feats[:len(feats):len(feats)], added...)
+	p.feats.Store(&grown)
+	for _, ft := range added {
+		cols = append(cols, series[ft])
+	}
+	return cols
+}
+
+// colMap rebuilds the Source-shaped map of a drive's full columns.
+func (p *partition) colMap(cols [][]float64) map[smart.Feature][]float64 {
+	feats := p.featList()
+	out := make(map[smart.Feature][]float64, len(cols))
+	for i, col := range cols {
+		if col != nil {
+			out[feats[i]] = col
+		}
+	}
+	return out
+}
+
+// seriesMap rebuilds the Source-shaped map of a drive's columns, each
+// truncated to n days; it fails when a column is shorter than n.
+func (p *partition) seriesMap(ref dataset.DriveRef, cols [][]float64, n int) (map[smart.Feature][]float64, error) {
+	feats := p.featList()
+	out := make(map[smart.Feature][]float64, len(cols))
+	for i, col := range cols {
+		if col == nil {
+			continue
+		}
+		if len(col) < n {
+			return nil, fmt.Errorf("store: drive %d feature %v has %d days, horizon needs %d", ref.ID, feats[i], len(col), n)
+		}
+		out[feats[i]] = col[:n:n]
+	}
+	return out, nil
 }
 
 // Open wraps an upstream source in an empty store (horizon 0, nothing
@@ -227,14 +309,12 @@ func (st *Store) createPartition(m smart.ModelID) (*partition, error) {
 		refs:     refs,
 		refIndex: make(map[int]dataset.DriveRef, len(refs)),
 		idxByID:  make(map[int]int, len(refs)),
-		byID:     make(map[int]*driveCols, len(refs)),
 		drives:   make([]*driveCols, len(refs)),
 	}
 	for i, r := range refs {
 		p.refIndex[r.ID] = r
 		p.idxByID[r.ID] = i
 		p.drives[i] = &driveCols{lastDay: -1}
-		p.byID[r.ID] = p.drives[i]
 	}
 	st.parts[m] = p
 	return p, nil
@@ -369,7 +449,7 @@ func (st *Store) fetchPartition(ctx context.Context, p *partition) error {
 	}
 	if workers <= 1 {
 		for i := range p.drives {
-			if err := st.fetchDrive(ctx, p.refs[i], p.drives[i]); err != nil {
+			if err := st.fetchDrive(ctx, p, i); err != nil {
 				return err
 			}
 		}
@@ -387,7 +467,7 @@ func (st *Store) fetchPartition(ctx context.Context, p *partition) error {
 				if i >= len(p.drives) {
 					return
 				}
-				errs[i] = st.fetchDrive(ctx, p.refs[i], p.drives[i])
+				errs[i] = st.fetchDrive(ctx, p, i)
 			}
 		}()
 	}
@@ -400,13 +480,15 @@ func (st *Store) fetchPartition(ctx context.Context, p *partition) error {
 	return nil
 }
 
-// fetchDrive ensures the drive's series is in the store, retrying
-// transient upstream errors with bounded exponential backoff and a
-// per-attempt deadline (Options). A drive whose fetch ultimately fails
-// is left unfetched, so the next ingest attempts it again. A context
-// cancellation aborts promptly — it cuts a backoff sleep short and is
-// returned unretried without counting as an upstream fetch error.
-func (st *Store) fetchDrive(ctx context.Context, ref dataset.DriveRef, dc *driveCols) error {
+// fetchDrive ensures the partition's i-th drive's series is in the
+// store, retrying transient upstream errors with bounded exponential
+// backoff and a per-attempt deadline (Options). A drive whose fetch
+// ultimately fails is left unfetched, so the next ingest attempts it
+// again. A context cancellation aborts promptly — it cuts a backoff
+// sleep short and is returned unretried without counting as an
+// upstream fetch error.
+func (st *Store) fetchDrive(ctx context.Context, p *partition, i int) error {
+	ref, dc := p.refs[i], p.drives[i]
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
 	if dc.fetched {
@@ -439,7 +521,7 @@ func (st *Store) fetchDrive(ctx context.Context, ref dataset.DriveRef, dc *drive
 		cols, lastDay, err := st.fetchSeries(ctx, ref)
 		st.seriesFetches.Add(1)
 		if err == nil {
-			dc.cols = cols
+			dc.cols = p.layout(cols)
 			dc.lastDay = lastDay
 			dc.fetched = true
 			return nil
@@ -572,8 +654,8 @@ func (s *Snapshot) DrivesOf(m smart.ModelID) []dataset.DriveRef {
 }
 
 // RefIndex returns the model's drive-ID-to-ref map, built once per
-// model and shared by every snapshot of the store. Scoring passes use
-// it instead of rebuilding the map per call.
+// model and shared by every snapshot of the store, for callers that
+// look drives up by ID (the serving daemon's store-backed requests).
 func (s *Snapshot) RefIndex(m smart.ModelID) map[int]dataset.DriveRef {
 	p, err := s.part(m)
 	if err != nil {
@@ -603,7 +685,8 @@ func (s *Snapshot) part(m smart.ModelID) (*partition, error) {
 // Series implements dataset.Source, serving the drive's columns from
 // the store truncated to the snapshot horizon. The returned slices
 // alias the store's append-only buffers; treat them as read-only (as
-// with every other Source).
+// with every other Source). The map is built per call from the
+// drive's feature-indexed columns; a ColumnReader skips it.
 func (s *Snapshot) Series(ref dataset.DriveRef) (map[smart.Feature][]float64, int, error) {
 	return s.SeriesCtx(context.Background(), ref)
 }
@@ -623,16 +706,37 @@ func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[sma
 	if err != nil {
 		return nil, 0, err
 	}
-	dc := p.byID[ref.ID]
-	if dc == nil {
-		return s.spillSeries(p, ref)
+	di, ok := p.idxByID[ref.ID]
+	if !ok {
+		return nil, 0, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
 	}
-	// Idempotent: serves from the store after the first fetch (the
-	// fetch only happens here when the partition was tracked after the
-	// last append).
-	if err := s.st.fetchDrive(ctx, ref, dc); err != nil {
+	cols, lastDay, err := s.memCols(ctx, p, di)
+	if err != nil {
 		return nil, 0, err
 	}
+	if cols == nil {
+		return s.spillSeries(p, di)
+	}
+	out, err := p.seriesMap(p.refs[di], cols, lastDay+1)
+	if err != nil {
+		return nil, 0, err
+	}
+	return out, lastDay, nil
+}
+
+// memCols returns the partition's di-th drive's in-memory columns and
+// its last day visible to the snapshot. The drive is fetched if need
+// be (only when the partition was tracked after the last append) and
+// its visible days accounted, for every read path alike. Nil columns
+// with a nil error mean the drive is served from the spill file.
+func (s *Snapshot) memCols(ctx context.Context, p *partition, di int) ([][]float64, int, error) {
+	if p.drives == nil {
+		return nil, 0, nil
+	}
+	if err := s.st.fetchDrive(ctx, p, di); err != nil {
+		return nil, 0, err
+	}
+	dc := p.drives[di]
 	s.st.accountVisible(dc, s.days)
 	dc.mu.Lock()
 	cols, lastDay := dc.cols, dc.lastDay
@@ -640,34 +744,23 @@ func (s *Snapshot) SeriesCtx(ctx context.Context, ref dataset.DriveRef) (map[sma
 	if cols == nil {
 		// A concurrent Spill released the columns; sp was published
 		// before the release, so the file now serves this drive.
-		return s.spillSeries(p, ref)
+		return nil, 0, nil
 	}
 	if lastDay > s.days-1 {
 		lastDay = s.days - 1
 	}
 	if lastDay < 0 {
-		return nil, 0, fmt.Errorf("store: drive %d has no days within horizon %d", ref.ID, s.days)
+		return nil, 0, fmt.Errorf("store: drive %d has no days within horizon %d", p.refs[di].ID, s.days)
 	}
-	n := lastDay + 1
-	out := make(map[smart.Feature][]float64, len(cols))
-	for ft, col := range cols {
-		if len(col) < n {
-			return nil, 0, fmt.Errorf("store: drive %d feature %v has %d days, horizon needs %d", ref.ID, ft, len(col), n)
-		}
-		out[ft] = col[:n:n]
-	}
-	return out, lastDay, nil
+	return cols, lastDay, nil
 }
 
-// spillSeries serves a drive's columns from the partition's spill file,
+// spillSeries serves the partition's di-th drive from its spill file,
 // truncated to the snapshot horizon. The slices alias the mapped file.
-func (s *Snapshot) spillSeries(p *partition, ref dataset.DriveRef) (map[smart.Feature][]float64, int, error) {
+func (s *Snapshot) spillSeries(p *partition, di int) (map[smart.Feature][]float64, int, error) {
+	ref := p.refs[di]
 	sf := p.sp.Load()
 	if sf == nil {
-		return nil, 0, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
-	}
-	di, ok := p.idxByID[ref.ID]
-	if !ok {
 		return nil, 0, fmt.Errorf("store: model %v has no drive %d", ref.Model, ref.ID)
 	}
 	cols, lastDay, err := sf.series(di, s.days)
@@ -675,6 +768,105 @@ func (s *Snapshot) spillSeries(p *partition, ref dataset.DriveRef) (map[smart.Fe
 		return nil, 0, fmt.Errorf("store: drive %d: %w", ref.ID, err)
 	}
 	return cols, lastDay, nil
+}
+
+// ColumnReader reads one fixed feature list from the drives of one
+// model. The list is resolved to column positions once, when the
+// reader is built — in the partition's in-memory order and in its
+// spill file's — so each read indexes the drive's columns directly
+// instead of building and probing a per-drive map. Safe for
+// concurrent use.
+type ColumnReader struct {
+	s     *Snapshot
+	p     *partition
+	feats []smart.Feature
+	mem   []int // feats[k]'s in-memory position; -1 when unknown
+	memN  int   // length of the in-memory order mem was resolved against
+	sp    *spillFile
+	spPos []int // feats[k]'s spill-file column; -1 when absent
+}
+
+// Columns returns a reader of feats for model m's drives, which it
+// addresses by position in DrivesOf(m).
+func (s *Snapshot) Columns(m smart.ModelID, feats []smart.Feature) (*ColumnReader, error) {
+	p, err := s.part(m)
+	if err != nil {
+		return nil, err
+	}
+	all := p.featList()
+	r := &ColumnReader{s: s, p: p, feats: feats, mem: positions(all, feats), memN: len(all)}
+	if sf := p.sp.Load(); sf != nil {
+		r.sp, r.spPos = sf, positions(sf.feats, feats)
+	}
+	return r, nil
+}
+
+// Read fills dst[k] with drive i's column of the reader's k-th feature,
+// truncated to the snapshot horizon — nil when the drive does not
+// report that feature — and returns the drive's last visible day. dst
+// must hold one entry per feature. The columns alias the store and are
+// read-only. A read fetches and accounts the drive exactly as Series
+// does, and fails where Series would.
+func (r *ColumnReader) Read(i int, dst [][]float64) (int, error) {
+	p := r.p
+	if i < 0 || i >= len(p.refs) {
+		return 0, fmt.Errorf("store: drive index %d outside inventory of %d", i, len(p.refs))
+	}
+	cols, lastDay, err := r.s.memCols(context.Background(), p, i)
+	if err != nil {
+		return 0, err
+	}
+	if cols != nil {
+		pos := r.mem
+		if len(cols) > r.memN {
+			// The drive reports a feature first seen after the reader
+			// was built; resolve against the grown order.
+			pos = positions(p.featList(), r.feats)
+		}
+		n := lastDay + 1
+		for k, at := range pos {
+			var col []float64
+			if at >= 0 && at < len(cols) {
+				col = cols[at]
+			}
+			if col != nil {
+				if len(col) < n {
+					return 0, fmt.Errorf("store: drive %d feature %v has %d days, horizon needs %d", p.refs[i].ID, r.feats[k], len(col), n)
+				}
+				col = col[:n:n]
+			}
+			dst[k] = col
+		}
+		return lastDay, nil
+	}
+	sf := p.sp.Load()
+	if sf == nil {
+		return 0, fmt.Errorf("store: model %v has no drive %d", p.refs[i].Model, p.refs[i].ID)
+	}
+	pos := r.spPos
+	if sf != r.sp {
+		pos = positions(sf.feats, r.feats)
+	}
+	base, lastDay, err := sf.span(i, r.s.days)
+	if err != nil {
+		return 0, fmt.Errorf("store: drive %d: %w", p.refs[i].ID, err)
+	}
+	for k, at := range pos {
+		dst[k] = nil
+		if at >= 0 {
+			dst[k] = sf.cells(at, base, lastDay+1)
+		}
+	}
+	return lastDay, nil
+}
+
+// positions maps each of feats to its index in order, -1 when absent.
+func positions(order, feats []smart.Feature) []int {
+	out := make([]int, len(feats))
+	for k, ft := range feats {
+		out[k] = slices.Index(order, ft)
+	}
+	return out
 }
 
 // Spill writes every tracked, fully ingested partition to
@@ -706,10 +898,10 @@ func (st *Store) Spill() error {
 		for i, dc := range p.drives {
 			nDays[i] = dc.lastDay + 1
 		}
-		feats := sortedFeatures(p.drives[0].cols)
+		feats := sortedFeatures(p.colMap(p.drives[0].cols))
 		path := SpillPath(dir, m)
 		err := writeSpillFile(path, m, st.src.Days(), p.refs, feats, nDays, st.opts.Workers,
-			func(i int) (map[smart.Feature][]float64, error) { return p.drives[i].cols, nil })
+			func(i int) (map[smart.Feature][]float64, error) { return p.colMap(p.drives[i].cols), nil })
 		if err != nil {
 			return err
 		}
@@ -795,8 +987,9 @@ func (s *Snapshot) DayColumns(m smart.ModelID, day int) ([]smart.Feature, [][]fl
 		return nil, nil, nil, nil
 	}
 	p.drives[0].mu.Lock()
-	feats := sortedFeatures(p.drives[0].cols)
+	feats := sortedFeatures(p.colMap(p.drives[0].cols))
 	p.drives[0].mu.Unlock()
+	pos := positions(p.featList(), feats)
 	var alive []dataset.DriveRef
 	var idxs []int
 	for i, dc := range p.drives {
@@ -809,7 +1002,10 @@ func (s *Snapshot) DayColumns(m smart.ModelID, day int) ([]smart.Feature, [][]fl
 	for fi, ft := range feats {
 		out := make([]float64, len(idxs))
 		for j, i := range idxs {
-			col := p.drives[i].cols[ft]
+			var col []float64
+			if c := p.drives[i].cols; pos[fi] < len(c) {
+				col = c[pos[fi]]
+			}
 			if day >= len(col) {
 				return nil, nil, nil, fmt.Errorf("store: drive %d feature %v has %d days, day %d requested", p.refs[i].ID, ft, len(col), day)
 			}
