@@ -21,7 +21,6 @@ import (
 	"repro/internal/frame"
 	"repro/internal/simulate"
 	"repro/internal/smart"
-	"repro/internal/stats"
 )
 
 // Errors returned by dataset operations.
@@ -184,6 +183,9 @@ func (o FrameOpts) normalize(days int) (FrameOpts, error) {
 	}
 	if o.Windows == nil {
 		o.Windows = featgen.DefaultWindows
+	}
+	if err := featgen.CheckWindows(o.Windows); err != nil {
+		return o, fmt.Errorf("%w: %w", ErrBadOpts, err)
 	}
 	if o.MWIBelow > 0 && o.MWIAtLeast > 0 {
 		return o, fmt.Errorf("%w: MWIBelow and MWIAtLeast are mutually exclusive", ErrBadOpts)
@@ -469,9 +471,8 @@ func extractDrive(src Source, ref DriveRef, opts FrameOpts) (*driveChunk, error)
 // feature of one drive, restricted to days from..to (column index t is
 // day from+t), ordered per feature then per generated stat. All columns
 // are carved from one pooled slab (returned for release via putSlab
-// once the caller has copied the values out) and the rolling-stats
-// buffer is shared across features, so the per-drive allocation count
-// is constant in the feature count.
+// once the caller has copied the values out), so the per-drive
+// allocation count is constant in the feature count.
 func expandSeriesRange(series map[smart.Feature][]float64, feats []smart.Feature, windows []int, from, to int) ([][]float64, []float64, error) {
 	nGen := featgen.NumGenerated(windows)
 	width := to - from + 1
@@ -480,15 +481,12 @@ func expandSeriesRange(series map[smart.Feature][]float64, feats []smart.Feature
 	for i := range out {
 		out[i] = slab[i*width : (i+1)*width : (i+1)*width]
 	}
-	var scratch []stats.RollingStats
 	for fi, ft := range feats {
 		col, ok := series[ft]
 		if !ok {
 			return nil, slab, &MissingFeatureError{Feature: ft}
 		}
-		var err error
-		scratch, err = featgen.GenerateRangeInto(out[fi*nGen:(fi+1)*nGen], col, windows, from, to, scratch)
-		if err != nil {
+		if _, err := featgen.GenerateRangeInto(out[fi*nGen:(fi+1)*nGen], col, windows, from, to, nil); err != nil {
 			return nil, slab, fmt.Errorf("dataset: expand %v: %w", ft, err)
 		}
 	}

@@ -217,6 +217,15 @@ func TestFrameOptErrors(t *testing.T) {
 			t.Errorf("case %d error = %v, want ErrBadOpts", i, err)
 		}
 	}
+	// A non-positive window fails at the options, typed, with or
+	// without expansion.
+	for _, expand := range []bool{false, true} {
+		_, err := Frame(src, FrameOpts{Model: smart.MC1, Expand: expand, Windows: []int{3, 0}})
+		var we *featgen.WindowError
+		if !errors.Is(err, ErrBadOpts) || !errors.As(err, &we) || we.Window != 0 {
+			t.Errorf("expand %v: window 0 error = %v, want ErrBadOpts wrapping *featgen.WindowError", expand, err)
+		}
+	}
 }
 
 func TestFrameNoSamples(t *testing.T) {

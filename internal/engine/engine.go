@@ -23,6 +23,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
+	"repro/internal/featgen"
 	"repro/internal/forest"
 	"repro/internal/frame"
 	"repro/internal/gbdt"
@@ -293,6 +294,9 @@ func (e *Engine) PreparePhase(model smart.ModelID, ph Phase) (*PhaseData, error)
 	cfg := e.cfg
 	if err := ph.validate(e.st.SourceDays()); err != nil {
 		return nil, err
+	}
+	if err := featgen.CheckWindows(cfg.Windows); err != nil {
+		return nil, fmt.Errorf("engine: config: %w", err)
 	}
 	trainLen := ph.TrainHi - ph.TrainLo + 1
 	valLen := int(float64(trainLen) * cfg.ValFraction)

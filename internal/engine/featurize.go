@@ -6,55 +6,37 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/featgen"
 	"repro/internal/smart"
-	"repro/internal/stats"
 )
 
 // featurize.go is the one model-input row assembly shared by fleet
 // scoring (the scoring pass) and the serving daemon (Scorer.Featurize):
 // a group's selected features at the scored day, then — per feature —
 // featgen's window statistics, whose trailing windows look back through
-// the drive's series. It is the row-at-a-time twin of dataset.Frame's
-// expansion and bit-identical to it: both reach
-// featgen.GenerateRangeInto, which computes each day's statistics from
-// that day's window alone.
-
-// rowScratch is the reusable working state of featurizeRow.
-type rowScratch struct {
-	views   [][]float64 // one single-cell destination per generated stat
-	rolling []stats.RollingStats
-}
+// the drive's series. The statistics come from featgen.WindowStats,
+// the kernel dataset.Frame's expansion also reaches (through
+// featgen.GenerateRangeInto), so the two are bit-identical.
 
 // featurizeRow writes one drive-day's model inputs into cell r of dst,
 // the group's input columns: dst[k] holds feature k's value on day, and
 // dst[n+k*nGen+j] its j-th generated statistic, for n features and nGen
 // statistics per feature. series[k] is the drive's column for feats[k],
 // nil when the drive does not report it, which fails with
-// *dataset.MissingFeatureError naming the first such feature.
-func featurizeRow(dst [][]float64, r int, feats []smart.Feature, series [][]float64, day int, windows []int, sc *rowScratch) error {
+// *dataset.MissingFeatureError naming the first such feature. windows
+// must have passed featgen.CheckWindows.
+func featurizeRow(dst [][]float64, r int, feats []smart.Feature, series [][]float64, day int, windows []int) error {
 	n := len(feats)
 	nGen := featgen.NumGenerated(windows)
-	if cap(sc.views) < nGen {
-		sc.views = make([][]float64, nGen)
-	}
-	views := sc.views[:nGen]
 	for k, ft := range feats {
 		col := series[k]
 		if col == nil {
 			return &dataset.MissingFeatureError{Feature: ft}
 		}
+		if day >= len(col) {
+			return fmt.Errorf("engine: expand %v: day %d outside series of %d days", ft, day, len(col))
+		}
+		dst[k][r] = col[day]
 		base := n + k*nGen
-		for j := range views {
-			views[j] = dst[base+j][r : r+1]
-		}
-		var err error
-		sc.rolling, err = featgen.GenerateRangeInto(views, col, windows, day, day, sc.rolling)
-		if err != nil {
-			return fmt.Errorf("engine: expand %v: %w", ft, err)
-		}
-	}
-	// GenerateRangeInto has bounds-checked every column against day.
-	for k := range feats {
-		dst[k][r] = series[k][day]
+		featgen.WindowStats(dst[base:base+nGen], r, col, day, windows)
 	}
 	return nil
 }
@@ -64,7 +46,6 @@ func featurizeRow(dst [][]float64, r int, feats []smart.Feature, series [][]floa
 type RowScratch struct {
 	cells  [][]float64 // single-cell views into the row being written
 	series [][]float64
-	row    rowScratch
 }
 
 // Featurize writes group g's model-input row for one day of a drive's
@@ -73,7 +54,8 @@ type RowScratch struct {
 // at least MaxWindow days of history before day, a row scored through
 // ScoreBatch matches the offline score bit for bit. Every series column
 // must extend past day. A selected feature absent from the series
-// fails with *dataset.MissingFeatureError.
+// fails with *dataset.MissingFeatureError. Once sc has served a row of
+// this width, it allocates nothing.
 func (s *Scorer) Featurize(g int, series map[smart.Feature][]float64, day int, row []float64, sc *RowScratch) error {
 	if g < 0 || g >= len(s.groups) {
 		return fmt.Errorf("engine: group %d out of range [0, %d)", g, len(s.groups))
@@ -93,5 +75,5 @@ func (s *Scorer) Featurize(g int, series map[smart.Feature][]float64, day int, r
 	for c := range cells {
 		cells[c] = row[c : c+1]
 	}
-	return featurizeRow(cells, 0, feats, sc.series, day, s.Windows(), &sc.row)
+	return featurizeRow(cells, 0, feats, sc.series, day, s.Windows())
 }

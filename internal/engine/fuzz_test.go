@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"repro/internal/featgen"
 )
 
 // FuzzSnapshotDecode asserts the snapshot loader never panics on
@@ -24,6 +26,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`{"format": 1, "model": 1, "selector": "wefr",` +
 		` "groups": [{"features": ["MWI_N"], "predictor": 1, "model_data": "AAEC", "flat_data": "AAEC"}],` +
 		` "thresholds": [0.5], "trained_through": 600, "config_hash": "abcd"}`))
+	// Non-positive windows, which must fail at group build.
+	f.Add([]byte(`{"format": 2, "model": 1, "selector": "wefr",` +
+		` "groups": [{"features": ["MWI_N"], "predictor": 1, "flat_data": "AAEC"}],` +
+		` "thresholds": [0.5], "windows": [0], "trained_through": 600, "config_hash": "abcd"}`))
+	f.Add([]byte(`{"format": 2, "groups": [{"features": ["MWI_N"]}], "thresholds": [0.1], "windows": [3, -7]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
 		if err != nil {
@@ -40,7 +47,11 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		// A decodable snapshot must survive group reconstruction
 		// without panicking; errors (bad features, bogus model payloads)
-		// are fine.
-		_, _ = snap.buildGroups(1)
+		// are fine, but groups never build over a non-positive window.
+		_, err = snap.buildGroups(1)
+		var we *featgen.WindowError
+		if featgen.CheckWindows(snap.Windows) != nil && !errors.As(err, &we) {
+			t.Fatalf("windows %v: group build error = %v, want *featgen.WindowError", snap.Windows, err)
+		}
 	})
 }

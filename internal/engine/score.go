@@ -116,7 +116,6 @@ type passWorker struct {
 	gser  [][]float64 // one group's feature columns of the drive
 	in    []groupInput
 	plan  []planRow
-	row   rowScratch
 }
 
 // groupInput is one group's model-input columns for the shard being
@@ -211,7 +210,7 @@ func scorePhaseInto(src dataset.Source, model smart.ModelID, groups []group, lo,
 		return buf.scores[:0], 0, nil
 	}
 	ps := &scorePass{refs: refs, groups: groups, windows: cfg.Windows, lo: lo, hi: hi}
-	if ps.windows == nil {
+	if len(ps.windows) == 0 {
 		ps.windows = featgen.DefaultWindows
 	}
 	ps.nGen = featgen.NumGenerated(ps.windows)
@@ -420,7 +419,7 @@ func (ps *scorePass) featurize(w *passWorker, g int, cols [][]float64, miss [][]
 		w.gser = append(w.gser, cols[c])
 	}
 	feats := ps.groups[g].feats
-	if err := featurizeRow(dst, r, feats, w.gser, day, ps.windows, &w.row); err != nil {
+	if err := featurizeRow(dst, r, feats, w.gser, day, ps.windows); err != nil {
 		return err
 	}
 	if ps.mask {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/featgen"
 	"repro/internal/forest"
 	"repro/internal/gbdt"
 	"repro/internal/hist"
@@ -164,6 +165,9 @@ func (r *PhaseResult) Snapshot() (*ModelSnapshot, error) {
 func (s *ModelSnapshot) buildGroups(workers int) ([]group, error) {
 	if s.Format != SnapshotFormat {
 		return nil, fmt.Errorf("%w: format %d, want %d", ErrSnapshotFormat, s.Format, SnapshotFormat)
+	}
+	if err := featgen.CheckWindows(s.Windows); err != nil {
+		return nil, fmt.Errorf("engine: malformed snapshot: %w", err)
 	}
 	if len(s.Groups) == 0 || len(s.Thresholds) != len(s.Groups) {
 		return nil, fmt.Errorf("engine: malformed snapshot: %d groups, %d thresholds", len(s.Groups), len(s.Thresholds))

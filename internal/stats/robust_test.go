@@ -48,43 +48,3 @@ func TestPearsonNonFiniteInput(t *testing.T) {
 		t.Errorf("Pearson with Inf input: err = %v, want ErrZeroVariance", err)
 	}
 }
-
-func TestRollingRangeSkipsNonFinite(t *testing.T) {
-	xs := []float64{1, math.NaN(), 3, math.Inf(1), 5}
-	out, err := Rolling(xs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Window at position 2 is {1, NaN, 3}: stats over {1, 3}.
-	if out[2].Mean != 2 || out[2].Min != 1 || out[2].Max != 3 {
-		t.Errorf("window stats = %+v, want mean 2, min 1, max 3", out[2])
-	}
-	// WMA weights keyed to window position: 1*1 + 3*3 over 1+3.
-	if out[2].WMA != 10.0/4 {
-		t.Errorf("WMA = %v, want 2.5", out[2].WMA)
-	}
-	// Window at position 3 is {NaN, 3, +Inf}: stats over {3} alone.
-	if out[3].Mean != 3 || out[3].Std != 0 || out[3].Range != 0 {
-		t.Errorf("window stats = %+v, want degenerate singleton at 3", out[3])
-	}
-}
-
-func TestRollingRangeAllMissingWindow(t *testing.T) {
-	xs := []float64{math.NaN(), math.NaN(), 7}
-	out, err := Rolling(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out[1] // window {NaN, NaN}
-	for name, v := range map[string]float64{
-		"Max": s.Max, "Min": s.Min, "Mean": s.Mean,
-		"Std": s.Std, "Range": s.Range, "WMA": s.WMA,
-	} {
-		if v == v {
-			t.Errorf("all-missing window %s = %v, want NaN", name, v)
-		}
-	}
-	if out[2].Mean != 7 {
-		t.Errorf("window {NaN, 7} mean = %v, want 7", out[2].Mean)
-	}
-}

@@ -30,8 +30,6 @@ var (
 	ErrInvalidQuantile = errors.New("stats: quantile outside [0, 1]")
 	// ErrInvalidWindow indicates a non-positive moving-average window.
 	ErrInvalidWindow = errors.New("stats: window must be positive")
-	// ErrInvalidRange indicates a position range outside the input.
-	ErrInvalidRange = errors.New("stats: invalid position range")
 )
 
 // Mean returns the arithmetic mean of xs.
@@ -287,6 +285,10 @@ func WeightedMovingAverage(xs []float64, window int) ([]float64, error) {
 }
 
 // RollingStats describes the summary statistics of one rolling window.
+// Nothing in this module produces it any more (featgen.WindowStats
+// writes the statistics straight into columns); it is kept only for the
+// benchmark module's featgen replay, which declares a
+// featgen.GenerateRangeInto scratch of this type.
 type RollingStats struct {
 	Max   float64
 	Min   float64
@@ -294,102 +296,6 @@ type RollingStats struct {
 	Std   float64
 	Range float64 // Max - Min
 	WMA   float64 // weighted moving average, recency-weighted
-}
-
-// Rolling computes RollingStats for every position of xs over a trailing
-// window of the given size. Partial windows at the start use the samples
-// available so far, so the result has the same length as the input.
-func Rolling(xs []float64, window int) ([]RollingStats, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidWindow, window)
-	}
-	if len(xs) == 0 {
-		return []RollingStats{}, nil
-	}
-	return RollingRange(xs, window, 0, len(xs)-1)
-}
-
-// RollingRange computes RollingStats only for positions from through to
-// (inclusive) of xs. The values are identical to
-// Rolling(xs, window)[from : to+1] — each position's trailing window
-// still reaches back before `from` into the full series — but only the
-// requested positions are computed, which is what lets a scoring pass
-// over a short day range skip re-deriving statistics for the entire
-// series history.
-//
-// Non-finite samples (NaN, ±Inf) are skipped: each window's statistics
-// summarize only its finite samples, with weights keyed to the sample's
-// position in the window. A window with no finite samples yields
-// all-NaN stats, which downstream consumers treat as missing.
-func RollingRange(xs []float64, window, from, to int) ([]RollingStats, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrInvalidWindow, window)
-	}
-	if from < 0 || to >= len(xs) || from > to {
-		return nil, fmt.Errorf("%w: [%d, %d] in input of length %d", ErrInvalidRange, from, to, len(xs))
-	}
-	out := make([]RollingStats, to-from+1)
-	rollingRangeInto(out, xs, window, from, to)
-	return out, nil
-}
-
-// RollingRangeInto is RollingRange writing into a caller-provided
-// buffer, which must have length to-from+1; it allocates nothing.
-// Repeated extraction passes (one per feature per drive) reuse one
-// buffer instead of allocating a fresh result slice each call.
-func RollingRangeInto(out []RollingStats, xs []float64, window, from, to int) error {
-	if window <= 0 {
-		return fmt.Errorf("%w: %d", ErrInvalidWindow, window)
-	}
-	if from < 0 || to >= len(xs) || from > to {
-		return fmt.Errorf("%w: [%d, %d] in input of length %d", ErrInvalidRange, from, to, len(xs))
-	}
-	if len(out) != to-from+1 {
-		return fmt.Errorf("%w: buffer length %d for range [%d, %d]", ErrInvalidRange, len(out), from, to)
-	}
-	rollingRangeInto(out, xs, window, from, to)
-	return nil
-}
-
-func rollingRangeInto(out []RollingStats, xs []float64, window, from, to int) {
-	for i := from; i <= to; i++ {
-		lo := i - window + 1
-		if lo < 0 {
-			lo = 0
-		}
-		var w Welford
-		minV, maxV := math.Inf(1), math.Inf(-1)
-		var num, den float64
-		for j := lo; j <= i; j++ {
-			x := xs[j]
-			if x-x != 0 { // non-finite
-				continue
-			}
-			w.Add(x)
-			if x < minV {
-				minV = x
-			}
-			if x > maxV {
-				maxV = x
-			}
-			wt := float64(j - lo + 1)
-			num += x * wt
-			den += wt
-		}
-		if w.Count() == 0 {
-			nan := math.NaN()
-			out[i-from] = RollingStats{Max: nan, Min: nan, Mean: nan, Std: nan, Range: nan, WMA: nan}
-			continue
-		}
-		out[i-from] = RollingStats{
-			Max:   maxV,
-			Min:   minV,
-			Mean:  w.Mean(),
-			Std:   w.StdDev(),
-			Range: maxV - minV,
-			WMA:   num / den,
-		}
-	}
 }
 
 // Histogram bins xs into the given number of equal-width bins spanning

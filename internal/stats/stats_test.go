@@ -335,56 +335,6 @@ func TestWMAConstantSeries(t *testing.T) {
 	}
 }
 
-func TestRolling(t *testing.T) {
-	xs := []float64{5, 1, 3}
-	got, err := Rolling(xs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Max != 5 || got[0].Min != 5 || got[0].Range != 0 {
-		t.Errorf("Rolling[0] = %+v, want degenerate window of 5", got[0])
-	}
-	if got[1].Max != 5 || got[1].Min != 1 || got[1].Range != 4 {
-		t.Errorf("Rolling[1] = %+v", got[1])
-	}
-	if !almostEqual(got[1].Mean, 3, eps) {
-		t.Errorf("Rolling[1].Mean = %v, want 3", got[1].Mean)
-	}
-	if got[2].Max != 3 || got[2].Min != 1 {
-		t.Errorf("Rolling[2] = %+v", got[2])
-	}
-	// WMA of window [1,3] with weights 1,2 = (1+6)/3.
-	if !almostEqual(got[2].WMA, 7.0/3, eps) {
-		t.Errorf("Rolling[2].WMA = %v, want %v", got[2].WMA, 7.0/3)
-	}
-}
-
-func TestRollingInvariants(t *testing.T) {
-	// Property: Min <= Mean <= Max and Min <= WMA <= Max in every window.
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 200)
-	for i := range xs {
-		xs[i] = rng.NormFloat64() * 10
-	}
-	for _, window := range []int{1, 3, 7, 50} {
-		rs, err := Rolling(xs, window)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range rs {
-			if r.Mean < r.Min-eps || r.Mean > r.Max+eps {
-				t.Fatalf("window %d pos %d: mean %v outside [%v, %v]", window, i, r.Mean, r.Min, r.Max)
-			}
-			if r.WMA < r.Min-eps || r.WMA > r.Max+eps {
-				t.Fatalf("window %d pos %d: wma %v outside [%v, %v]", window, i, r.WMA, r.Min, r.Max)
-			}
-			if r.Range < -eps {
-				t.Fatalf("window %d pos %d: negative range %v", window, i, r.Range)
-			}
-		}
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	counts, edges, err := Histogram([]float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, 5)
 	if err != nil {
